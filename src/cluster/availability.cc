@@ -1,22 +1,8 @@
 #include "src/cluster/availability.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace tetrisched {
-
-std::pair<int, int> TimeGrid::ClippedSliceRange(SimTime s,
-                                                SimDuration dur) const {
-  SimTime end = s + dur;
-  if (end <= start || s >= horizon_end() || dur <= 0) {
-    return {0, 0};
-  }
-  SimTime clipped_start = std::max(s, start);
-  SimTime clipped_end = std::min(end, horizon_end());
-  int first = static_cast<int>((clipped_start - start) / quantum);
-  int last = static_cast<int>((clipped_end - start + quantum - 1) / quantum);
-  return {first, last};
-}
 
 AvailabilityGrid::AvailabilityGrid(const Cluster& cluster, TimeGrid grid)
     : grid_(grid) {

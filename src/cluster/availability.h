@@ -10,6 +10,7 @@
 #ifndef TETRISCHED_CLUSTER_AVAILABILITY_H_
 #define TETRISCHED_CLUSTER_AVAILABILITY_H_
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,8 +38,19 @@ struct TimeGrid {
   }
 
   // Slices overlapped by [s, s+dur), clipped to the grid; returns a
-  // half-open [first, last) pair (empty if no overlap).
-  std::pair<int, int> ClippedSliceRange(SimTime s, SimDuration dur) const;
+  // half-open [first, last) pair (empty if no overlap). Inline: the compiler
+  // calls it once per leaf per partition.
+  std::pair<int, int> ClippedSliceRange(SimTime s, SimDuration dur) const {
+    SimTime end = s + dur;
+    if (end <= start || s >= horizon_end() || dur <= 0) {
+      return {0, 0};
+    }
+    SimTime clipped_start = std::max(s, start);
+    SimTime clipped_end = std::min(end, horizon_end());
+    int first = static_cast<int>((clipped_start - start) / quantum);
+    int last = static_cast<int>((clipped_end - start + quantum - 1) / quantum);
+    return {first, last};
+  }
 };
 
 class AvailabilityGrid {

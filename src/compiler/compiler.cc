@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -34,9 +33,13 @@ namespace {
 struct GenContext {
   const AvailabilityGrid& availability;
   CompiledStrl* out;
-  // used[(partition, slice)] accumulates LHS terms for supply constraints.
-  std::map<std::pair<PartitionId, int>, std::vector<LinTerm>> used;
+  // LHS terms of the supply constraints, one bucket per (partition, slice)
+  // cell at index partition * num_slices + slice. Sized on first use, so a
+  // model whose every leaf was culled never allocates it.
+  std::vector<std::vector<LinTerm>> used;
   std::vector<VarId> indicator_chain;  // enclosing MAX/SUM indicators
+  // GenLeaf's (partition, headroom) list, kept to reuse its allocation.
+  std::vector<std::pair<PartitionId, int>> usable;
 };
 
 // Tightest usable upper bound for a leaf's draw from one partition: the
@@ -46,7 +49,7 @@ int PartitionHeadroom(const GenContext& ctx, PartitionId partition,
   auto [first, last] =
       ctx.availability.grid().ClippedSliceRange(start, dur);
   int headroom = k;
-  for (int slice = first; slice < last; ++slice) {
+  for (int slice = first; slice < last && headroom > 0; ++slice) {
     headroom =
         std::min(headroom, std::max(0, ctx.availability.avail(partition, slice)));
   }
@@ -55,10 +58,19 @@ int PartitionHeadroom(const GenContext& ctx, PartitionId partition,
 
 void TrackUsage(GenContext& ctx, PartitionId partition, SimTime start,
                 SimDuration dur, VarId var, double coeff) {
-  auto [first, last] =
-      ctx.availability.grid().ClippedSliceRange(start, dur);
+  const TimeGrid& grid = ctx.availability.grid();
+  auto [first, last] = grid.ClippedSliceRange(start, dur);
+  if (first >= last) {
+    return;
+  }
+  if (ctx.used.empty()) {
+    ctx.used.resize(static_cast<size_t>(ctx.availability.num_partitions()) *
+                    grid.num_slices);
+  }
+  std::vector<LinTerm>* cells =
+      &ctx.used[static_cast<size_t>(partition) * grid.num_slices];
   for (int slice = first; slice < last; ++slice) {
-    ctx.used[{partition, slice}].push_back({var, coeff});
+    cells[slice].push_back({var, coeff});
   }
 }
 
@@ -79,7 +91,8 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
   info.ancestor_indicators = ctx.indicator_chain;
 
   // Keep only partitions that can contribute at least one node.
-  std::vector<std::pair<PartitionId, int>> usable;
+  std::vector<std::pair<PartitionId, int>>& usable = ctx.usable;
+  usable.clear();
   for (PartitionId partition : expr.partitions) {
     int headroom =
         PartitionHeadroom(ctx, partition, expr.start, expr.duration, expr.k);
@@ -96,8 +109,7 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
   if (usable.empty() || total_headroom < (info.linear ? 1 : expr.k)) {
     // The option cannot be satisfied inside this window: pin I = 0 instead of
     // emitting an unusable subtree (the paper's expression culling).
-    model.AddConstraint({{I, 1.0}}, ConstraintSense::kLessEqual, 0.0,
-                        "cull_t" + std::to_string(expr.tag));
+    model.AddConstraint({{I, 1.0}}, ConstraintSense::kLessEqual, 0.0, "cull");
     StrlCompileAccess::leaves(*ctx.out).push_back(std::move(info));
     if (expr.tag != kNoTag) {
       StrlCompileAccess::tags(*ctx.out)[expr.tag] =
@@ -117,9 +129,7 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
   } else {
     std::vector<LinTerm> demand;
     for (const auto& [partition, headroom] : usable) {
-      VarId p = model.AddIntegerVar(
-          0.0, headroom,
-          "P_t" + std::to_string(expr.tag) + "_p" + std::to_string(partition));
+      VarId p = model.AddIntegerVar(0.0, headroom, "P");
       info.partitions.push_back(partition);
       info.partition_vars.push_back(p);
       TrackUsage(ctx, partition, expr.start, expr.duration, p, 1.0);
@@ -129,7 +139,7 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
       // (Demand) sum P <= k * I; value flows per granted node.
       demand.push_back({I, -static_cast<double>(expr.k)});
       model.AddConstraint(std::move(demand), ConstraintSense::kLessEqual, 0.0,
-                          "ldemand_t" + std::to_string(expr.tag));
+                          "ldemand");
       for (size_t i = 0; i < info.partition_vars.size(); ++i) {
         objective.push_back(
             {info.partition_vars[i], expr.value / expr.k});
@@ -138,7 +148,7 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
       // (Demand) sum P == k * I.
       demand.push_back({I, -static_cast<double>(expr.k)});
       model.AddConstraint(std::move(demand), ConstraintSense::kEqual, 0.0,
-                          "demand_t" + std::to_string(expr.tag));
+                          "demand");
       objective.push_back({I, expr.value});
     }
   }
@@ -161,6 +171,7 @@ std::vector<LinTerm> Gen(GenContext& ctx, const StrlExpr& expr, VarId I) {
     case StrlKind::kMax: {
       std::vector<LinTerm> objective;
       std::vector<LinTerm> choice;
+      choice.reserve(expr.children.size() + 1);
       ctx.indicator_chain.push_back(I);
       for (const StrlExpr& child : expr.children) {
         VarId child_i = model.AddBinaryVar();
@@ -179,6 +190,7 @@ std::vector<LinTerm> Gen(GenContext& ctx, const StrlExpr& expr, VarId I) {
     case StrlKind::kSum: {
       std::vector<LinTerm> objective;
       std::vector<LinTerm> gate;
+      gate.reserve(expr.children.size() + 1);
       ctx.indicator_chain.push_back(I);
       for (const StrlExpr& child : expr.children) {
         VarId child_i = model.AddBinaryVar();
@@ -234,7 +246,12 @@ StrlCompiler::StrlCompiler(const AvailabilityGrid& availability)
 
 CompiledStrl StrlCompiler::Compile(const StrlExpr& root) {
   CompiledStrl out;
-  GenContext ctx{availability_, &out, {}, {}};
+  GenContext ctx{availability_, &out, {}, {}, {}};
+  // One indicator per node and one choice or cull row per node covers a
+  // model whose leaves were culled; P variables and supply rows add more.
+  const int nodes = CountNodes(root);
+  StrlCompileAccess::model(out).Reserve(nodes + 1, nodes, 2 * nodes);
+  StrlCompileAccess::leaves(out).reserve(nodes);
 
   // Free binary root indicator, exactly as in Algorithm 1's genAndSolve: the
   // optimizer turns the root on whenever positive value is reachable, and a
@@ -266,21 +283,24 @@ CompiledStrl StrlCompiler::Compile(const StrlExpr& root) {
     StrlCompileAccess::model(out).AddObjectiveTerm(term.var, term.coeff);
   }
 
-  // (Supply) per partition per slice: usage <= available capacity. Row ids
-  // plus slice geometry are retained so the scheduler can later ask which
+  // (Supply) per partition per slice: usage <= available capacity, in
+  // (partition, slice) order, each row's terms in leaf order. Row ids plus
+  // slice geometry are retained so the scheduler can later ask which
   // saturated rows blocked a rejected job's alternatives.
-  StrlCompileAccess::grid(out) = availability_.grid();
-  for (auto& [key, terms] : ctx.used) {
-    auto [partition, slice] = key;
-    double avail =
-        std::max(0, availability_.avail(partition, slice));
+  const TimeGrid& grid = availability_.grid();
+  StrlCompileAccess::grid(out) = grid;
+  for (size_t cell = 0; cell < ctx.used.size(); ++cell) {
+    std::vector<LinTerm>& terms = ctx.used[cell];
+    if (terms.empty()) {
+      continue;
+    }
+    PartitionId partition = static_cast<PartitionId>(cell / grid.num_slices);
+    int slice = static_cast<int>(cell % grid.num_slices);
+    double avail = std::max(0, availability_.avail(partition, slice));
     ConstraintId row = StrlCompileAccess::model(out).AddConstraint(
-        std::move(terms), ConstraintSense::kLessEqual, avail,
-        "supply_p" + std::to_string(partition) + "_s" +
-            std::to_string(slice));
+        std::move(terms), ConstraintSense::kLessEqual, avail, "supply");
     StrlCompileAccess::supply_rows(out).push_back(
-        {row, partition, slice, availability_.grid().SliceStart(slice),
-         avail, 0.0});
+        {row, partition, slice, grid.SliceStart(slice), avail, 0.0});
   }
   return out;
 }
@@ -321,6 +341,13 @@ std::vector<SupplyRowRef> CompiledStrl::RowsTouchingLeaf(
     }
   }
   return touching;
+}
+
+bool CompiledStrl::AllLeavesCulled() const {
+  return !leaves_.empty() &&
+         std::all_of(leaves_.begin(), leaves_.end(), [](const LeafInfo& leaf) {
+           return leaf.partitions.empty();
+         });
 }
 
 bool CompiledStrl::LeafCulledAtCompile(LeafTag tag) const {

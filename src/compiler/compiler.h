@@ -13,6 +13,10 @@
 // their partition variable (P = k*I), and partitions with zero availability
 // across the leaf's interval are dropped from the leaf entirely.
 //
+// Variables and rows carry fixed short labels ("P", "cull", "demand",
+// "ldemand", "supply", ...) rather than per-tag names: only
+// MilpModel::DebugString reads them, and every solve layer copies them.
+//
 // The CompiledStrl result owns the MilpModel plus the bookkeeping needed to
 // translate a solver assignment back into space-time allocations, and to
 // translate the previous cycle's schedule into a warm-start vector.
@@ -102,6 +106,11 @@ class CompiledStrl {
   // headroom over its interval), i.e. the option was capacity-blocked
   // before the solver ever saw it.
   bool LeafCulledAtCompile(LeafTag tag) const;
+
+  // True when the model has leaves and every one was culled at compile
+  // time. Each leaf indicator is then pinned to 0, so no solve can choose an
+  // allocation, and the optimum is the empty plan.
+  bool AllLeavesCulled() const;
 
  private:
   friend class StrlCompiler;

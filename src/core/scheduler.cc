@@ -923,6 +923,23 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
     decision.stats.compile_seconds += Seconds(compile_start, Clock::now());
     decision.stats.milp_vars += compiled.model().num_vars();
     decision.stats.milp_constraints += compiled.model().num_constraints();
+    auto reject = [&] {
+      if (recorder.enabled()) {
+        ProvenanceRecord record;
+        record.kind = ProvKind::kRejected;
+        record.time = now;
+        record.job = job->id;
+        record.label = "no-feasible-option";
+        recorder.Record(std::move(record));
+      }
+    };
+    // Every option was culled, so the solve could only return the empty
+    // plan: skip it. A non-positive time limit still solves, because it asks
+    // MilpSolver for the no-incumbent report that drives the fallback rung.
+    if (compiled.AllLeavesCulled() && config_.milp.time_limit_seconds > 0.0) {
+      reject();
+      continue;
+    }
     MilpSolver solver(compiled.model(), config_.milp);
     MilpResult result = [&] {
       TETRI_SPAN("scheduler.solve");
@@ -936,14 +953,7 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
     decision.stats.solve_status =
         WorstStatus(decision.stats.solve_status, result.solve_status);
     if (!result.HasSolution() || result.objective <= 0.0) {
-      if (recorder.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kRejected;
-        record.time = now;
-        record.job = job->id;
-        record.label = "no-feasible-option";
-        recorder.Record(std::move(record));
-      }
+      reject();
       continue;  // nothing schedulable for this job within the window
     }
 

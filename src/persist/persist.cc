@@ -60,8 +60,7 @@ void PersistenceManager::Checkpoint(const RecoveredState& state) {
 }
 
 bool PersistenceManager::MaybeCheckpoint(const RecoveredState& state) {
-  if (options_.snapshot_every <= 0 ||
-      journal_records_ < options_.snapshot_every) {
+  if (!CheckpointDue()) {
     return false;
   }
   Checkpoint(state);

@@ -657,9 +657,10 @@ void SchedulerDaemon::RunCycle() {
   }
   ++cycles_;
   CompleteFinishedGangs();
-  if (!draining_) {
-    DrainIntakeIntoPending();
-  }
+  // Draining closes intake to new submissions (HandleSubmit refuses them),
+  // but the ones already acknowledged and queued are still admitted, or the
+  // daemon could never reach drained.
+  DrainIntakeIntoPending();
 
   std::vector<const Job*> pending_jobs;
   pending_jobs.reserve(pending_.size());
@@ -705,8 +706,10 @@ void SchedulerDaemon::RunCycle() {
     ApplyDecision(decision);
   }
 
-  if (persist_ != nullptr) {
-    persist_->MaybeCheckpoint(BuildRecoveredState());
+  // The image holds every job the daemon has seen: build it only when a
+  // checkpoint is due.
+  if (persist_ != nullptr && persist_->CheckpointDue()) {
+    persist_->Checkpoint(BuildRecoveredState());
   }
   Instruments().inflight->Set(static_cast<double>(
       intake_.size() + static_cast<int64_t>(pending_.size()) +

@@ -30,6 +30,19 @@ VarId MilpModel::AddBinaryVar(std::string name) {
   return AddVar(VarType::kBinary, 0.0, 1.0, std::move(name));
 }
 
+void MilpModel::Reserve(int vars, int constraints, int64_t terms) {
+  types_.reserve(vars);
+  lowers_.reserve(vars);
+  uppers_.reserve(vars);
+  objective_.reserve(vars);
+  var_names_.reserve(vars);
+  terms_.reserve(terms);
+  row_start_.reserve(constraints + 1);
+  senses_.reserve(constraints);
+  rhs_.reserve(constraints);
+  constraint_names_.reserve(constraints);
+}
+
 void MilpModel::AddObjectiveTerm(VarId var, double delta) {
   assert(var >= 0 && var < num_vars());
   objective_[var] += delta;

@@ -56,6 +56,10 @@ class MilpModel {
   VarId AddIntegerVar(double lower, double upper, std::string name = "");
   VarId AddBinaryVar(std::string name = "");
 
+  // Reserves room for `vars` variables, `constraints` rows and `terms`
+  // nonzeros, so a builder that knows its size up front reallocates less.
+  void Reserve(int vars, int constraints, int64_t terms);
+
   // Adds `delta` to the objective coefficient of `var`.
   void AddObjectiveTerm(VarId var, double delta);
 

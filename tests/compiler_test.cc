@@ -1,7 +1,11 @@
 // Tests for the STRL -> MILP compiler, including the paper's worked example
 // (§5.1 / Fig 4) reproduced end to end through the solver.
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,6 +279,113 @@ TEST_F(HeterogeneousCompilerTest, BarrierGatesLowValueAllocations) {
   ASSERT_TRUE(result.HasSolution());
   EXPECT_NEAR(result.objective, 0.0, 1e-6);
   EXPECT_TRUE(compiled.ExtractAllocations(result.values).empty());
+}
+
+// Pins the supply-row layout: one row per (partition, slice) cell some
+// unculled leaf draws from, emitted in (partition, slice) order, each row's
+// terms in leaf order.
+TEST_F(HeterogeneousCompilerTest, SupplyRowsInCellOrderWithTermsInLeafOrder) {
+  const PartitionId gpu = cluster_.RackPartitions(0)[0];
+  const PartitionId plain = cluster_.RackPartitions(1)[0];
+  avail_.Reduce(gpu, {0, 2}, 2);  // GPU rack saturated over slices 0-1
+  PartitionSet all = cluster_.AllPartitions();
+  StrlExpr root = Sum({
+      NCk(all, 2, 0, 2, 1.0, 1),  // only `plain` has headroom: collapses
+      Max({NCk(cluster_.RackPartitions(0), 2, 0, 2, 1.0, 2),  // culled
+           NCk(all, 2, 2, 3, 1.0, 3)}),  // both racks: P variables
+      NCk(all, 1, 1, 2, 1.0, 4),  // `gpu` is full at slice 1: collapses
+  });
+  CompiledStrl compiled = StrlCompiler(avail_).Compile(root);
+  ASSERT_EQ(compiled.num_leaves(), 4);
+  EXPECT_TRUE(compiled.LeafCulledAtCompile(2));
+  EXPECT_FALSE(compiled.AllLeavesCulled());
+
+  std::set<std::pair<PartitionId, int>> cells = {
+      {plain, 0}, {plain, 1},                            // tag 1
+      {gpu, 2},   {gpu, 3},   {gpu, 4},                  // tag 3
+      {plain, 2}, {plain, 3}, {plain, 4},                // tag 3
+      {plain, 1}, {plain, 2},                            // tag 4
+  };
+  std::vector<std::pair<PartitionId, int>> expected(cells.begin(),
+                                                    cells.end());
+  std::vector<std::pair<PartitionId, int>> emitted;
+  for (const SupplyRowRef& ref : compiled.supply_rows()) {
+    emitted.emplace_back(ref.partition, ref.slice);
+    EXPECT_EQ(ref.rhs, avail_.avail(ref.partition, ref.slice));
+    EXPECT_EQ(ref.slice_start, grid_.SliceStart(ref.slice));
+  }
+  EXPECT_EQ(emitted, expected);
+
+  std::map<VarId, int> leaf_of;
+  for (int leaf = 0; leaf < compiled.num_leaves(); ++leaf) {
+    for (VarId var : compiled.LeafVars(leaf)) {
+      leaf_of[var] = leaf;
+    }
+  }
+  for (const SupplyRowRef& ref : compiled.supply_rows()) {
+    int previous = -1;
+    for (const LinTerm& term : compiled.model().constraint_terms(ref.row)) {
+      ASSERT_EQ(leaf_of.count(term.var), 1u);
+      EXPECT_GT(leaf_of[term.var], previous)
+          << "partition " << ref.partition << " slice " << ref.slice;
+      previous = leaf_of[term.var];
+    }
+  }
+  // Row (plain, 1) is shared by the two collapsed leaves: k * indicator each.
+  auto shared = std::find_if(
+      compiled.supply_rows().begin(), compiled.supply_rows().end(),
+      [&](const SupplyRowRef& ref) {
+        return ref.partition == plain && ref.slice == 1;
+      });
+  ASSERT_NE(shared, compiled.supply_rows().end());
+  std::span<const LinTerm> terms =
+      compiled.model().constraint_terms(shared->row);
+  ASSERT_EQ(terms.size(), 2u);
+  EXPECT_EQ(terms[0].var, compiled.LeafVars(0)[0]);
+  EXPECT_EQ(terms[0].coeff, 2.0);
+  EXPECT_EQ(terms[1].var, compiled.LeafVars(3)[0]);
+  EXPECT_EQ(terms[1].coeff, 1.0);
+}
+
+TEST_F(HeterogeneousCompilerTest, AllLeavesCulledOnSaturatedGrid) {
+  for (PartitionId partition : cluster_.AllPartitions()) {
+    avail_.Reduce(partition, {0, 6}, cluster_.partition(partition).capacity());
+  }
+  PartitionSet all = cluster_.AllPartitions();
+  // Every operator over culled leaves: the optimum must be the empty plan.
+  StrlExpr root =
+      Max({NCk(all, 1, 0, 2, 3.0, 1),
+           Scale(Min({NCk(cluster_.RackPartitions(0), 1, 0, 2, 2.0, 2),
+                      NCk(cluster_.RackPartitions(1), 1, 0, 2, 2.0, 3)}),
+                 4.0),
+           Barrier(LnCk(all, 2, 2, 2, 2.0, 4), 1.0),
+           Sum({NCk(all, 1, 4, 2, 1.0, 5), NCk(all, 1, 0, 6, 1.0, 6)})});
+  CompiledStrl compiled = StrlCompiler(avail_).Compile(root);
+  EXPECT_TRUE(compiled.AllLeavesCulled());
+  EXPECT_TRUE(compiled.supply_rows().empty());
+  MilpResult result = SolveCompiled(compiled);
+  ASSERT_TRUE(result.HasSolution());
+  EXPECT_NEAR(result.objective, 0.0, 1e-9);
+  EXPECT_TRUE(compiled.ExtractAllocations(result.values).empty());
+}
+
+TEST_F(HeterogeneousCompilerTest, AllLeavesCulledIsFalseWhenAnOptionFits) {
+  // The GPU rack is full for the whole window, the other rack only later.
+  const PartitionId gpu = cluster_.RackPartitions(0)[0];
+  const PartitionId plain = cluster_.RackPartitions(1)[0];
+  avail_.Reduce(gpu, {0, 6}, cluster_.partition(gpu).capacity());
+  avail_.Reduce(plain, {2, 6}, cluster_.partition(plain).capacity());
+  StrlExpr root = Max({NCk(cluster_.GpuPartitions(), 2, 0, 2, 4.0, 1),
+                       NCk(cluster_.AllPartitions(), 2, 2, 2, 3.0, 2),
+                       NCk(cluster_.AllPartitions(), 2, 0, 2, 2.0, 3)});
+  CompiledStrl compiled = StrlCompiler(avail_).Compile(root);
+  EXPECT_TRUE(compiled.LeafCulledAtCompile(1));
+  EXPECT_TRUE(compiled.LeafCulledAtCompile(2));
+  EXPECT_FALSE(compiled.LeafCulledAtCompile(3));
+  EXPECT_FALSE(compiled.AllLeavesCulled());
+  MilpResult result = SolveCompiled(compiled);
+  ASSERT_TRUE(result.HasSolution());
+  EXPECT_NEAR(result.objective, 2.0, 1e-6);
 }
 
 // Property sweep: random forests of jobs must produce solver objectives that

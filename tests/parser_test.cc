@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <ostream>
 #include <random>
 #include <string>
 
@@ -99,9 +100,14 @@ TEST(ParserTest, NegativeStartAllowed) {
 // --- Error reporting ---------------------------------------------------------
 
 struct BadInput {
+  const char* name;
   const char* text;
   const char* expected_error_fragment;
 };
+
+// Prints the case name. Without this, gtest prints the raw pointer bytes,
+// and CTest test names would change from one build to the next.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.name; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
@@ -116,15 +122,22 @@ TEST_P(ParserErrorTest, ReportsError) {
 INSTANTIATE_TEST_SUITE_P(
     BadInputs, ParserErrorTest,
     ::testing::Values(
-        BadInput{"", "expected expression"},
-        BadInput{"foo(1)", "unknown operator"},
-        BadInput{"nCk({p0} k=1, s=0, dur=1, v=1)", "expected ','"},
-        BadInput{"nCk({x0}, k=1, s=0, dur=1, v=1)", "expected partition"},
-        BadInput{"nCk({p0}, k=0, s=0, dur=1, v=1)", "k must be positive"},
-        BadInput{"nCk({p0}, k=1, s=0, dur=0, v=1)", "dur must be positive"},
-        BadInput{"max(nCk({p0}, k=1, s=0, dur=1, v=1)", "expected ')'"},
-        BadInput{"nCk({p0}, k=1, s=0, dur=1, v=1) junk", "trailing input"},
-        BadInput{"scale(x, nCk({p0}, k=1, s=0, dur=1, v=1))",
+        BadInput{"EmptyInput", "", "expected expression"},
+        BadInput{"UnknownOperator", "foo(1)", "unknown operator"},
+        BadInput{"MissingComma", "nCk({p0} k=1, s=0, dur=1, v=1)",
+                 "expected ','"},
+        BadInput{"BadPartition", "nCk({x0}, k=1, s=0, dur=1, v=1)",
+                 "expected partition"},
+        BadInput{"ZeroK", "nCk({p0}, k=0, s=0, dur=1, v=1)",
+                 "k must be positive"},
+        BadInput{"ZeroDuration", "nCk({p0}, k=1, s=0, dur=0, v=1)",
+                 "dur must be positive"},
+        BadInput{"UnclosedParen", "max(nCk({p0}, k=1, s=0, dur=1, v=1)",
+                 "expected ')'"},
+        BadInput{"TrailingInput", "nCk({p0}, k=1, s=0, dur=1, v=1) junk",
+                 "trailing input"},
+        BadInput{"NonNumericScale",
+                 "scale(x, nCk({p0}, k=1, s=0, dur=1, v=1))",
                  "expected number"}));
 
 // --- Hardening: depth limit, truncation, fuzz --------------------------------

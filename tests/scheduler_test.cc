@@ -1,9 +1,14 @@
 // Tests for the TetriSched scheduler core: cycle decisions, plan-ahead
 // deferral, global vs greedy, drops, and capacity safety.
 
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
 #include "src/core/scheduler.h"
+#include "src/obs/provenance.h"
 
 namespace tetrisched {
 namespace {
@@ -230,6 +235,64 @@ TEST_F(SchedulerTest, AdaptiveReplanningPicksUpFreedCapacity) {
   auto decision = scheduler.OnCycle(4, {&job}, {});  // hold vanished early
   ASSERT_EQ(decision.start_now.size(), 1u);
   EXPECT_TRUE(decision.start_now[0].preferred_belief);
+}
+
+// TetriSched-NG on a cluster held past the plan-ahead window: every option
+// of every job is culled at compile time, so no MILP is solved, nothing is
+// placed, and each job gets one no-feasible-option rejection.
+TEST_F(SchedulerTest, GreedySkipsSolveWhenEveryOptionIsCulled) {
+  std::vector<RunningHold> holds;
+  for (PartitionId p = 0; p < cluster_.num_partitions(); ++p) {
+    RunningHold hold;
+    hold.job = 100 + p;
+    hold.counts[p] = cluster_.partition(p).capacity();
+    hold.expected_end = 10000;
+    holds.push_back(hold);
+  }
+  std::vector<Job> jobs{
+      MakeJob(1, JobType::kUnconstrained, 2, 30, kTimeNever,
+              SloClass::kBestEffort),
+      MakeJob(2, JobType::kGpu, 4, 60, 5000, SloClass::kSloAccepted),
+      MakeJob(3, JobType::kUnconstrained, 1, 20, 8000,
+              SloClass::kSloUnreserved),
+  };
+  std::vector<const Job*> pending;
+  for (const Job& job : jobs) {
+    pending.push_back(&job);
+  }
+  Counter* solves = GlobalMetrics().GetCounter("tetrisched_solver_solves_total");
+  const int64_t solves_before = solves->value();
+  ProvenanceRecorder& recorder = ProvenanceRecorder::Global();
+  recorder.Enable();
+  TetriScheduler scheduler(cluster_, FastConfig(TetriSchedConfig::NoGlobal()));
+  auto decision = scheduler.OnCycle(0, pending, holds);
+  std::vector<ProvenanceRecord> records = recorder.Snapshot();
+  recorder.Disable();
+
+  EXPECT_TRUE(decision.start_now.empty());
+  EXPECT_TRUE(decision.drop.empty());
+  EXPECT_FALSE(decision.stats.used_fallback);
+  EXPECT_EQ(decision.stats.milp_nodes, 0);
+  EXPECT_GT(decision.stats.milp_vars, 0);  // the jobs were still compiled
+  EXPECT_EQ(solves->value(), solves_before);
+  std::map<int64_t, int> rejections;
+  for (const ProvenanceRecord& record : records) {
+    if (record.kind == ProvKind::kRejected) {
+      EXPECT_EQ(record.label, "no-feasible-option");
+      ++rejections[record.job];
+    }
+  }
+  EXPECT_EQ(rejections, (std::map<int64_t, int>{{1, 1}, {2, 1}, {3, 1}}));
+
+  // A zero time limit asks the solver for its no-incumbent report, so the
+  // solve still runs and the cycle takes the first-fit rung.
+  TetriSchedConfig starved_config = FastConfig(TetriSchedConfig::NoGlobal());
+  starved_config.milp.time_limit_seconds = 0.0;
+  TetriScheduler starved(cluster_, starved_config);
+  auto starved_decision = starved.OnCycle(0, pending, holds);
+  EXPECT_EQ(starved_decision.stats.solve_status, SolveStatus::kNoIncumbent);
+  EXPECT_TRUE(starved_decision.stats.used_fallback);
+  EXPECT_TRUE(starved_decision.start_now.empty());
 }
 
 }  // namespace

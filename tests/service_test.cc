@@ -224,6 +224,42 @@ TEST(ServiceEndToEndTest, DrainFinishesInflightAndRefusesNewWork) {
   harness.Stop();
 }
 
+// `drain` sent while acknowledged submissions are still queued: intake is
+// closed to new work, but the queued jobs are still admitted (one per cycle
+// here) and run, so the daemon reaches drained with every job accounted for.
+TEST(ServiceEndToEndTest, DrainAdmitsSubmissionsAlreadyQueued) {
+  DaemonOptions options = FastOptions();
+  options.admission.admit_per_cycle = 1;
+  DaemonHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("drain-queued");
+  ASSERT_TRUE(client.connected());
+
+  for (int i = 0; i < 8; ++i) {
+    ServiceReply reply = client.SubmitSpec(SmallJob());
+    ASSERT_TRUE(reply.transport_ok);
+    ASSERT_TRUE(reply.ok) << reply.error;
+  }
+  ServiceReply drain = client.Drain();
+  ASSERT_TRUE(drain.transport_ok);
+  ASSERT_TRUE(drain.ok);
+
+  ServiceReply refused = client.SubmitSpec(SmallJob());
+  ASSERT_TRUE(refused.transport_ok);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error, "draining");
+
+  ASSERT_TRUE(harness.WaitFor(
+      [](const DaemonStatus& status) { return status.drained; }))
+      << "queued submissions never left the intake queue";
+  DaemonStatus status = harness.daemon().StatusSnapshot();
+  EXPECT_EQ(status.completed + status.dropped, 8);
+  EXPECT_EQ(status.queued, 0);
+  EXPECT_EQ(status.validator_violations, 0);
+
+  harness.Stop();
+}
+
 // SIGTERM mid-run: the self-pipe handler wakes the loop, the daemon writes
 // a final checkpoint, and a restarted daemon attached to the same journal
 // storage resumes every accepted-but-unfinished job.
