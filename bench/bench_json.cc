@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <thread>
 
 #include "src/common/atomic_io.h"
 #include "src/common/json.h"
@@ -23,7 +25,14 @@ void BenchJsonWriter::Add(const std::string& name, double wall_ms,
 }
 
 std::string BenchJsonWriter::ToJson() const {
-  std::string out = "{\n  \"benchmarks\": [\n";
+  // Where the numbers were taken: wall-clock rows only compare between runs
+  // with the same host object.
+  std::string out =
+      "{\n  \"host\": {\"nproc\": " +
+      std::to_string(std::thread::hardware_concurrency()) +
+      ", \"build_type\": \"" + JsonEscape(TETRISCHED_BUILD_TYPE) +
+      "\", \"compiler\": \"" + JsonEscape(TETRISCHED_COMPILER) + "\"},\n" +
+      "  \"benchmarks\": [\n";
   for (size_t i = 0; i < records_.size(); ++i) {
     const Record& record = records_[i];
     out += "    {\"name\": \"" + JsonEscape(record.name) + "\", \"wall_ms\": " +

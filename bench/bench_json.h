@@ -24,6 +24,7 @@ class BenchJsonWriter {
   void Add(const std::string& name, double wall_ms,
            std::map<std::string, double> extra = {});
 
+  // {"host": {nproc, build_type, compiler}, "benchmarks": [records]}.
   std::string ToJson() const;
 
   // True iff TETRISCHED_BENCH_JSON is set (and non-empty).

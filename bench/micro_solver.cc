@@ -12,12 +12,12 @@
 #include "bench/bench_json.h"
 #include "src/cluster/availability.h"
 #include "src/common/metrics.h"
-#include "src/common/rng.h"
 #include "src/common/span.h"
 #include "src/compiler/compiler.h"
 #include "src/core/strl_gen.h"
 #include "src/solver/milp.h"
 #include "src/solver/simplex.h"
+#include "tests/solver_models.h"
 
 namespace tetrisched {
 namespace {
@@ -167,41 +167,10 @@ void BM_MilpSolveThreads(benchmark::State& state) {
 BENCHMARK(BM_MilpSolveThreads)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// Block-diagonal model: `blocks` independent random binary-packing blocks
-// (the multi-component churn shape — jobs preferring disjoint equivalence
-// sets compile to exactly this structure). Each block needs a real tree
-// search; the blocks share no rows, so the decomposition layer splits them.
-MilpModel MakeBlockPackingModel(int blocks, int vars_per_block,
-                                int cons_per_block, uint64_t seed) {
-  MilpModel model;
-  Rng rng(seed);
-  for (int b = 0; b < blocks; ++b) {
-    std::vector<VarId> vars;
-    for (int v = 0; v < vars_per_block; ++v) {
-      VarId id = model.AddBinaryVar();
-      model.AddObjectiveTerm(id, rng.UniformReal(-5.0, 10.0));
-      vars.push_back(id);
-    }
-    for (int c = 0; c < cons_per_block; ++c) {
-      std::vector<LinTerm> terms;
-      for (VarId id : vars) {
-        if (rng.Bernoulli(0.6)) {
-          terms.push_back({id, rng.UniformReal(-3.0, 5.0)});
-        }
-      }
-      if (!terms.empty()) {
-        model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual,
-                            rng.UniformReal(0.0, 6.0));
-      }
-    }
-  }
-  return model;
-}
-
 void BM_MilpSolveDecomposition(benchmark::State& state) {
   // Block-diagonal solve with the decomposition layer on (arg = 1) vs the
   // monolithic baseline (arg = 0), same model and same 10% gap.
-  MilpModel model = MakeBlockPackingModel(6, 14, 7, 42);
+  MilpModel model = BlockPackingModel(6, 14, 7, 42);
   MilpOptions options;
   options.time_limit_seconds = 30.0;
   options.num_threads = 1;
@@ -326,7 +295,7 @@ void EmitBenchJson() {
   // time spent splitting, the slowest component — plus the wall-clock and
   // node-count delta of solving the blocks independently.
   {
-    MilpModel blocks = MakeBlockPackingModel(6, 14, 7, 42);
+    MilpModel blocks = BlockPackingModel(6, 14, 7, 42);
     for (bool decomposed : {false, true}) {
       MilpOptions options;
       options.time_limit_seconds = 60.0;

@@ -44,16 +44,46 @@ struct GenContext {
 
 // Tightest usable upper bound for a leaf's draw from one partition: the
 // minimum availability across the leaf's active slices (and never above k).
-int PartitionHeadroom(const GenContext& ctx, PartitionId partition,
-                      SimTime start, SimDuration dur, int k) {
-  auto [first, last] =
-      ctx.availability.grid().ClippedSliceRange(start, dur);
+int PartitionHeadroom(const AvailabilityGrid& availability,
+                      PartitionId partition, SimTime start, SimDuration dur,
+                      int k) {
+  auto [first, last] = availability.grid().ClippedSliceRange(start, dur);
   int headroom = k;
   for (int slice = first; slice < last && headroom > 0; ++slice) {
     headroom =
-        std::min(headroom, std::max(0, ctx.availability.avail(partition, slice)));
+        std::min(headroom, std::max(0, availability.avail(partition, slice)));
   }
   return headroom;
+}
+
+// The cull predicate, shared by GenLeaf and StrlCompiler::AnyLeafFits: calls
+// `on_usable(partition, headroom)` for each partition of `leaf` that can
+// contribute at least one node over its clipped window, and returns whether
+// their summed headroom satisfies the leaf (k nodes for nCk, one for LnCk).
+// A leaf for which it returns false is culled.
+template <typename OnUsable>
+bool LeafFits(const AvailabilityGrid& availability, const StrlExpr& leaf,
+              OnUsable&& on_usable) {
+  int total_headroom = 0;
+  for (PartitionId partition : leaf.partitions) {
+    int headroom = PartitionHeadroom(availability, partition, leaf.start,
+                                     leaf.duration, leaf.k);
+    if (headroom > 0) {
+      on_usable(partition, headroom);
+      total_headroom += headroom;
+    }
+  }
+  return total_headroom > 0 &&
+         total_headroom >= (leaf.kind == StrlKind::kLnCk ? 1 : leaf.k);
+}
+
+bool AnyFits(const AvailabilityGrid& availability, const StrlExpr& expr) {
+  if (expr.IsLeaf()) {
+    return LeafFits(availability, expr, [](PartitionId, int) {});
+  }
+  return std::any_of(
+      expr.children.begin(), expr.children.end(),
+      [&](const StrlExpr& child) { return AnyFits(availability, child); });
 }
 
 void TrackUsage(GenContext& ctx, PartitionId partition, SimTime start,
@@ -93,20 +123,13 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
   // Keep only partitions that can contribute at least one node.
   std::vector<std::pair<PartitionId, int>>& usable = ctx.usable;
   usable.clear();
-  for (PartitionId partition : expr.partitions) {
-    int headroom =
-        PartitionHeadroom(ctx, partition, expr.start, expr.duration, expr.k);
-    if (headroom > 0) {
-      usable.emplace_back(partition, headroom);
-    }
-  }
+  const bool fits = LeafFits(ctx.availability, expr,
+                             [&](PartitionId partition, int headroom) {
+                               usable.emplace_back(partition, headroom);
+                             });
 
   std::vector<LinTerm> objective;
-  int total_headroom = 0;
-  for (const auto& [partition, headroom] : usable) {
-    total_headroom += headroom;
-  }
-  if (usable.empty() || total_headroom < (info.linear ? 1 : expr.k)) {
+  if (!fits) {
     // The option cannot be satisfied inside this window: pin I = 0 instead of
     // emitting an unusable subtree (the paper's expression culling).
     model.AddConstraint({{I, 1.0}}, ConstraintSense::kLessEqual, 0.0, "cull");
@@ -243,6 +266,10 @@ std::vector<LinTerm> Gen(GenContext& ctx, const StrlExpr& expr, VarId I) {
 
 StrlCompiler::StrlCompiler(const AvailabilityGrid& availability)
     : availability_(availability) {}
+
+bool StrlCompiler::AnyLeafFits(const StrlExpr& root) const {
+  return AnyFits(availability_, root);
+}
 
 CompiledStrl StrlCompiler::Compile(const StrlExpr& root) {
   CompiledStrl out;

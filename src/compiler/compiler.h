@@ -149,6 +149,11 @@ class StrlCompiler {
 
   CompiledStrl Compile(const StrlExpr& root);
 
+  // True when some leaf of `root` passes Compile's cull test, checked
+  // without building the model and stopping at the first leaf that fits. On
+  // any expression with a leaf it equals !Compile(root).AllLeavesCulled().
+  bool AnyLeafFits(const StrlExpr& root) const;
+
  private:
   const AvailabilityGrid& availability_;
 };

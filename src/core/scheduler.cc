@@ -915,14 +915,6 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
       RecordOffers(recorder, now, registry, pending);
     }
 
-    auto compile_start = Clock::now();
-    CompiledStrl compiled = [&] {
-      TETRI_SPAN("scheduler.compile");
-      return StrlCompiler(availability).Compile(*expr);
-    }();
-    decision.stats.compile_seconds += Seconds(compile_start, Clock::now());
-    decision.stats.milp_vars += compiled.model().num_vars();
-    decision.stats.milp_constraints += compiled.model().num_constraints();
     auto reject = [&] {
       if (recorder.enabled()) {
         ProvenanceRecord record;
@@ -933,13 +925,25 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
         recorder.Record(std::move(record));
       }
     };
-    // Every option was culled, so the solve could only return the empty
-    // plan: skip it. A non-positive time limit still solves, because it asks
-    // MilpSolver for the no-incumbent report that drives the fallback rung.
-    if (compiled.AllLeavesCulled() && config_.milp.time_limit_seconds > 0.0) {
+    auto compile_start = Clock::now();
+    StrlCompiler compiler(availability);
+    // When the compiler would cull every option, the solve could only return
+    // the empty plan: skip both. A non-positive time limit still compiles and
+    // solves, because it asks MilpSolver for the no-incumbent report that
+    // drives the fallback rung.
+    if (config_.milp.time_limit_seconds > 0.0 &&
+        !compiler.AnyLeafFits(*expr)) {
+      decision.stats.compile_seconds += Seconds(compile_start, Clock::now());
       reject();
       continue;
     }
+    CompiledStrl compiled = [&] {
+      TETRI_SPAN("scheduler.compile");
+      return compiler.Compile(*expr);
+    }();
+    decision.stats.compile_seconds += Seconds(compile_start, Clock::now());
+    decision.stats.milp_vars += compiled.model().num_vars();
+    decision.stats.milp_constraints += compiled.model().num_constraints();
     MilpSolver solver(compiled.model(), config_.milp);
     MilpResult result = [&] {
       TETRI_SPAN("scheduler.solve");

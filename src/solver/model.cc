@@ -1,5 +1,6 @@
 #include "src/solver/model.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <sstream>
@@ -51,10 +52,17 @@ void MilpModel::AddObjectiveTerm(VarId var, double delta) {
 ConstraintId MilpModel::AddConstraint(std::vector<LinTerm> terms,
                                       ConstraintSense sense, double rhs,
                                       std::string name) {
-  for (const LinTerm& term : terms) {
-    assert(term.var >= 0 && term.var < num_vars());
-    terms_.push_back(term);
-  }
+  return AddConstraint(std::span<const LinTerm>(terms), sense, rhs,
+                       std::move(name));
+}
+
+ConstraintId MilpModel::AddConstraint(std::span<const LinTerm> terms,
+                                      ConstraintSense sense, double rhs,
+                                      std::string name) {
+  assert(std::all_of(terms.begin(), terms.end(), [&](const LinTerm& term) {
+    return term.var >= 0 && term.var < num_vars();
+  }));
+  terms_.insert(terms_.end(), terms.begin(), terms.end());
   row_start_.push_back(static_cast<int64_t>(terms_.size()));
   senses_.push_back(sense);
   rhs_.push_back(rhs);

@@ -65,6 +65,11 @@ class MilpModel {
 
   ConstraintId AddConstraint(std::vector<LinTerm> terms, ConstraintSense sense,
                              double rhs, std::string name = "");
+  // Same, copying the terms out of a caller-owned buffer, so a builder that
+  // emits many rows can reuse one buffer instead of allocating per row.
+  ConstraintId AddConstraint(std::span<const LinTerm> terms,
+                             ConstraintSense sense, double rhs,
+                             std::string name = "");
 
   // --- Introspection ------------------------------------------------------
 

@@ -128,7 +128,30 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
     }
   }
 
-  // Build the reduced model.
+  // Build the reduced model, sized exactly up front: a counting pass over the
+  // surviving rows, then every row appended from one reused buffer.
+  int reduced_vars = 0;
+  for (int v = 0; v < n; ++v) {
+    reduced_vars += is_fixed(v) ? 0 : 1;
+  }
+  int reduced_rows = 0;
+  int64_t reduced_terms = 0;
+  size_t widest_row = 0;
+  for (int c = 0; c < m; ++c) {
+    if (row_dropped[c]) {
+      continue;
+    }
+    ++reduced_rows;
+    std::span<const LinTerm> terms = original.constraint_terms(c);
+    size_t kept = 0;
+    for (const LinTerm& term : terms) {
+      kept += is_fixed(term.var) ? 0 : 1;
+    }
+    reduced_terms += static_cast<int64_t>(kept);
+    widest_row = std::max(widest_row, kept);
+  }
+  reduced_.Reserve(reduced_vars, reduced_rows, reduced_terms);
+
   var_map_.assign(n, -1);
   fixed_value_.assign(n, 0.0);
   for (int v = 0; v < n; ++v) {
@@ -138,7 +161,7 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
       ++num_fixed_;
       continue;
     }
-    VarId reduced_id;
+    VarId reduced_id = -1;
     switch (original.var_type(v)) {
       case VarType::kContinuous:
         reduced_id = reduced_.AddContinuousVar(lb[v], ub[v],
@@ -161,11 +184,13 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
     var_map_[v] = reduced_id;
   }
 
+  std::vector<LinTerm> terms;
+  terms.reserve(widest_row);
   for (int c = 0; c < m; ++c) {
     if (row_dropped[c]) {
       continue;
     }
-    std::vector<LinTerm> terms;
+    terms.clear();
     double rhs = original.constraint_rhs(c);
     for (const LinTerm& term : original.constraint_terms(c)) {
       if (var_map_[term.var] >= 0) {
@@ -174,8 +199,9 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
         rhs -= term.coeff * fixed_value_[term.var];
       }
     }
-    reduced_.AddConstraint(std::move(terms), original.constraint_sense(c),
-                           rhs, original.constraint_name(c));
+    reduced_.AddConstraint(std::span<const LinTerm>(terms),
+                           original.constraint_sense(c), rhs,
+                           original.constraint_name(c));
   }
 }
 

@@ -37,31 +37,49 @@ LpSolver::LpSolver(const MilpModel& model, LpOptions options)
   m_ = model.num_constraints();
   total_ = n_ + m_;
 
-  cols_.assign(total_, {});
+  // Columns of [A | I] as one CSC block. A counting pass sizes every column
+  // (col_start_[v + 1] holds column v's length), a prefix sum turns lengths
+  // into offsets, and a fill pass in row order appends each entry at its
+  // column's cursor, so every column lists its rows in ascending order.
+  col_start_.assign(total_ + 1, 0);
+  for (int c = 0; c < m_; ++c) {
+    for (const LinTerm& term : model.constraint_terms(c)) {
+      ++col_start_[term.var + 1];
+    }
+    col_start_[n_ + c + 1] = 1;  // slack column: unit vector on this row
+  }
+  for (int v = 0; v < total_; ++v) {
+    col_start_[v + 1] += col_start_[v];
+  }
+  col_entries_.resize(col_start_[total_]);
   rhs_b_.assign(m_, 0.0);
   for (int c = 0; c < m_; ++c) {
     rhs_b_[c] = model.constraint_rhs(c);
     for (const LinTerm& term : model.constraint_terms(c)) {
-      cols_[term.var].push_back({c, term.coeff});
+      col_entries_[col_start_[term.var]++] = {c, term.coeff};
     }
-    // Slack column: unit vector on this row.
-    cols_[n_ + c].push_back({c, 1.0});
+    col_entries_[col_start_[n_ + c]++] = {c, 1.0};
   }
-  // Merge duplicate variable mentions within a row.
-  for (int v = 0; v < n_; ++v) {
-    auto& col = cols_[v];
-    std::sort(col.begin(), col.end(),
-              [](const ColEntry& a, const ColEntry& b) { return a.row < b.row; });
-    size_t out = 0;
-    for (size_t i = 0; i < col.size(); ++i) {
-      if (out > 0 && col[out - 1].row == col[i].row) {
-        col[out - 1].coeff += col[i].coeff;
+  // Each cursor now sits at the next column's start. Walk the columns again,
+  // restoring the offsets and merging duplicate mentions of a variable within
+  // a row (adjacent, summed in term order) by compacting in place.
+  int64_t out = 0;
+  int64_t begin = 0;
+  for (int v = 0; v < total_; ++v) {
+    const int64_t end = col_start_[v];
+    col_start_[v] = out;
+    for (int64_t i = begin; i < end; ++i) {
+      const ColEntry entry = col_entries_[i];
+      if (out > col_start_[v] && col_entries_[out - 1].row == entry.row) {
+        col_entries_[out - 1].coeff += entry.coeff;
       } else {
-        col[out++] = col[i];
+        col_entries_[out++] = entry;
       }
     }
-    col.resize(out);
+    begin = end;
   }
+  col_start_[total_] = out;
+  col_entries_.resize(out);
 
   obj_.assign(total_, 0.0);
   for (int v = 0; v < n_; ++v) {
@@ -161,7 +179,7 @@ bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
   binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
   std::vector<double> bmat(static_cast<size_t>(m_) * m_, 0.0);
   for (int i = 0; i < m_; ++i) {
-    for (const ColEntry& e : cols_[basic_[i]]) {
+    for (const ColEntry& e : Column(basic_[i])) {
       bmat[static_cast<size_t>(e.row) * m_ + i] = e.coeff;
     }
     Binv(i, i) = 1.0;
@@ -232,12 +250,13 @@ void LpSolver::RefactorizeOrReset() {
 }
 
 void LpSolver::RecomputeBasicValues() {
-  std::vector<double> residual = rhs_b_;
+  std::vector<double>& residual = residual_;
+  residual.assign(rhs_b_.begin(), rhs_b_.end());
   for (int v = 0; v < total_; ++v) {
     if (status_[v] == Status::kBasic || x_[v] == 0.0) {
       continue;
     }
-    for (const ColEntry& e : cols_[v]) {
+    for (const ColEntry& e : Column(v)) {
       residual[e.row] -= e.coeff * x_[v];
     }
   }
@@ -253,7 +272,7 @@ void LpSolver::RecomputeBasicValues() {
 
 double LpSolver::ColumnDot(int var, std::span<const double> row_vec) const {
   double sum = 0.0;
-  for (const ColEntry& e : cols_[var]) {
+  for (const ColEntry& e : Column(var)) {
     sum += e.coeff * row_vec[e.row];
   }
   return sum;
@@ -261,7 +280,7 @@ double LpSolver::ColumnDot(int var, std::span<const double> row_vec) const {
 
 void LpSolver::ComputeTableauColumn(int var, std::vector<double>& out) const {
   out.assign(m_, 0.0);
-  for (const ColEntry& e : cols_[var]) {
+  for (const ColEntry& e : Column(var)) {
     const double coeff = e.coeff;
     const size_t col = static_cast<size_t>(e.row);
     for (int i = 0; i < m_; ++i) {
@@ -297,9 +316,10 @@ void LpSolver::BuildPhase1Costs(std::vector<double>& costs) const {
 
 LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
                            int* iterations_left) {
-  std::vector<double> phase1_costs;
-  std::vector<double> y(m_);
-  std::vector<double> w;
+  std::vector<double>& phase1_costs = phase1_costs_;
+  std::vector<double>& y = y_;
+  std::vector<double>& w = w_;
+  y.resize(m_);
   int degenerate_streak = 0;
   int cancel_poll = 0;
   bool was_bland = false;

@@ -5,10 +5,15 @@
 //     maximize c'x  subject to  Ax {<=,>=,==} b,  l <= x <= u
 //
 // Internally each row gets a slack variable so the system becomes
-// A x + I s = b with bounds on slacks encoding the row sense. The solver
-// keeps an explicit dense basis inverse, refactorized periodically, and uses
-// partial (rotating-section) Dantzig pricing — widening to a full scan before
-// declaring optimality — with a Bland's-rule fallback against cycling.
+// A x + I s = b with bounds on slacks encoding the row sense. The columns of
+// [A | I] live in one compressed-sparse-column block (an offsets array plus
+// one entries array, built by a counting pass), so constructing a solver
+// costs a handful of allocations however many columns the model has. The
+// solver keeps an explicit dense basis inverse, refactorized periodically,
+// and uses partial (rotating-section) Dantzig pricing — widening to a full
+// scan before declaring optimality — with a Bland's-rule fallback against
+// cycling. The pivot loop's scratch vectors (dual row, tableau column,
+// phase-1 costs) are members, reused by every Solve on the same instance.
 //
 // Branch-and-bound passes per-variable bound overrides (branching decisions)
 // and may seed the solver with a basis snapshot from the parent node.
@@ -99,6 +104,12 @@ class LpSolver {
     double coeff;
   };
 
+  // Column `var` of [A | I]: its nonzeros in ascending row order.
+  std::span<const ColEntry> Column(int var) const {
+    return {col_entries_.data() + col_start_[var],
+            static_cast<size_t>(col_start_[var + 1] - col_start_[var])};
+  }
+
   // Dense m x m basis inverse, row major.
   double& Binv(int i, int j) { return binv_[static_cast<size_t>(i) * m_ + j]; }
 
@@ -126,8 +137,10 @@ class LpSolver {
   int m_ = 0;       // rows / slacks
   int total_ = 0;   // n_ + m_
 
-  // Sparse columns of [A | I].
-  std::vector<std::vector<ColEntry>> cols_;
+  // Columns of [A | I] in CSC form: column v spans
+  // col_entries_[col_start_[v], col_start_[v + 1]).
+  std::vector<int64_t> col_start_;
+  std::vector<ColEntry> col_entries_;
   std::vector<double> rhs_b_;
 
   // Per-variable working bounds (structural overrides + slack encodings).
@@ -142,6 +155,13 @@ class LpSolver {
   std::vector<double> binv_;
   int pivots_since_refactor_ = 0;
   int pricing_cursor_ = 0;  // start of the current partial-pricing section
+
+  // Scratch reused across Iterate / RecomputeBasicValues calls: contents
+  // are rewritten before every use, only the allocations carry over.
+  std::vector<double> y_;             // dual row c_B' B^-1
+  std::vector<double> w_;             // tableau column B^-1 a_enter
+  std::vector<double> phase1_costs_;  // phase-1 cost vector
+  std::vector<double> residual_;      // b - A_N x_N
 };
 
 }  // namespace tetrisched

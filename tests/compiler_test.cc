@@ -388,6 +388,94 @@ TEST_F(HeterogeneousCompilerTest, AllLeavesCulledIsFalseWhenAnOptionFits) {
   EXPECT_NEAR(result.objective, 2.0, 1e-6);
 }
 
+// A random STRL forest over every operator (Max/Min/Sum/Scale/Barrier) with
+// nCk and LnCk leaves whose windows may overhang either edge of `grid`, or
+// miss it entirely.
+StrlExpr RandomForest(Rng& rng, const Cluster& cluster, const TimeGrid& grid,
+                      int depth, LeafTag* next_tag) {
+  if (depth == 0 || rng.Bernoulli(0.3)) {
+    PartitionSet set;
+    for (PartitionId partition : cluster.AllPartitions()) {
+      if (rng.Bernoulli(0.5)) {
+        set.push_back(partition);
+      }
+    }
+    if (set.empty()) {
+      set.push_back(static_cast<PartitionId>(
+          rng.UniformInt(0, cluster.num_partitions() - 1)));
+    }
+    const int k = static_cast<int>(rng.UniformInt(1, 5));
+    const SimTime start = rng.UniformInt(grid.start - 3 * grid.quantum,
+                                         grid.horizon_end() + grid.quantum);
+    const SimDuration dur = rng.UniformInt(1, 4 * grid.quantum);
+    const double value = rng.UniformReal(0.5, 5.0);
+    return rng.Bernoulli(0.5) ? NCk(set, k, start, dur, value, (*next_tag)++)
+                              : LnCk(set, k, start, dur, value, (*next_tag)++);
+  }
+  auto children = [&] {
+    std::vector<StrlExpr> out;
+    const int count = static_cast<int>(rng.UniformInt(1, 3));
+    for (int i = 0; i < count; ++i) {
+      out.push_back(RandomForest(rng, cluster, grid, depth - 1, next_tag));
+    }
+    return out;
+  };
+  switch (rng.UniformInt(0, 4)) {
+    case 0:
+      return Max(children());
+    case 1:
+      return Min(children());
+    case 2:
+      return Sum(children());
+    case 3:
+      return Scale(RandomForest(rng, cluster, grid, depth - 1, next_tag),
+                   rng.UniformReal(0.5, 3.0));
+    default:
+      return Barrier(RandomForest(rng, cluster, grid, depth - 1, next_tag),
+                     rng.UniformReal(0.5, 3.0));
+  }
+}
+
+// AnyLeafFits runs the compiler's cull test without compiling, so it must
+// agree with the compiled model on every forest and every grid.
+TEST(AnyLeafFitsTest, AgreesWithCompileOnRandomForests) {
+  Rng rng(2016);
+  Cluster cluster = MakeUniformCluster(3, 3, 1);
+  const TimeGrid grid{.start = 20, .quantum = 5, .num_slices = 6};
+  int fits = 0;
+  int culled = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    // Saturate a random share of each partition over random ranges; a few
+    // grids are left empty and a few filled outright.
+    AvailabilityGrid avail(cluster, grid);
+    const double saturation = rng.UniformReal(0.0, 1.0);
+    for (PartitionId partition : cluster.AllPartitions()) {
+      const int capacity = cluster.partition(partition).capacity();
+      const int holds = static_cast<int>(rng.UniformInt(0, 3));
+      for (int h = 0; h < holds; ++h) {
+        const SimTime from = rng.UniformInt(grid.start, grid.horizon_end());
+        const SimTime to = rng.UniformInt(from, grid.horizon_end() + 5);
+        avail.Reduce(partition, {from, to},
+                     rng.Bernoulli(saturation) ? capacity
+                                               : rng.UniformInt(0, capacity));
+      }
+      if (rng.Bernoulli(saturation * saturation)) {
+        avail.Reduce(partition, {grid.start, grid.horizon_end()}, capacity);
+      }
+    }
+    LeafTag next_tag = 1;
+    StrlExpr root = RandomForest(rng, cluster, grid, 3, &next_tag);
+    StrlCompiler compiler(avail);
+    const bool any_fits = compiler.AnyLeafFits(root);
+    EXPECT_EQ(any_fits, !compiler.Compile(root).AllLeavesCulled())
+        << "trial " << trial << ": " << ToString(root);
+    ++(any_fits ? fits : culled);
+  }
+  // Both outcomes must be well represented for the sweep to mean anything.
+  EXPECT_GE(fits, 100);
+  EXPECT_GE(culled, 100);
+}
+
 // Property sweep: random forests of jobs must produce solver objectives that
 // match the STRL evaluator on the extracted allocation, and never violate
 // supply.

@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
 #include "src/solver/milp.h"
 #include "src/solver/presolve.h"
+#include "tests/solver_models.h"
 
 namespace tetrisched {
 namespace {
@@ -109,29 +109,7 @@ TEST(PresolveTest, ProjectionRejectsConflicts) {
 class PresolveEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PresolveEquivalenceTest, SameOptimum) {
-  Rng rng(4242 + GetParam());
-  MilpModel model;
-  const int n = static_cast<int>(rng.UniformInt(3, 8));
-  for (int v = 0; v < n; ++v) {
-    if (rng.Bernoulli(0.3)) {
-      double fixed = rng.UniformInt(0, 2);
-      model.AddIntegerVar(fixed, fixed);  // pre-fixed var
-    } else {
-      model.AddBinaryVar();
-    }
-    model.AddObjectiveTerm(v, rng.UniformReal(-2.0, 5.0));
-  }
-  int rows = static_cast<int>(rng.UniformInt(1, 6));
-  for (int c = 0; c < rows; ++c) {
-    std::vector<LinTerm> terms;
-    int mentions = static_cast<int>(rng.UniformInt(1, n));
-    for (int k = 0; k < mentions; ++k) {
-      terms.push_back({static_cast<VarId>(rng.UniformInt(0, n - 1)),
-                       rng.UniformReal(-2.0, 3.0)});
-    }
-    model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual,
-                        rng.UniformReal(0.5, 6.0));
-  }
+  MilpModel model = RandomPresolveModel(4242 + GetParam());
 
   MilpOptions with;
   with.rel_gap = 0.0;

@@ -238,8 +238,9 @@ TEST_F(SchedulerTest, AdaptiveReplanningPicksUpFreedCapacity) {
 }
 
 // TetriSched-NG on a cluster held past the plan-ahead window: every option
-// of every job is culled at compile time, so no MILP is solved, nothing is
-// placed, and each job gets one no-feasible-option rejection.
+// of every job would be culled by the compiler, so no model is compiled and
+// no MILP is solved, nothing is placed, and each job gets one
+// no-feasible-option rejection.
 TEST_F(SchedulerTest, GreedySkipsSolveWhenEveryOptionIsCulled) {
   std::vector<RunningHold> holds;
   for (PartitionId p = 0; p < cluster_.num_partitions(); ++p) {
@@ -273,7 +274,8 @@ TEST_F(SchedulerTest, GreedySkipsSolveWhenEveryOptionIsCulled) {
   EXPECT_TRUE(decision.drop.empty());
   EXPECT_FALSE(decision.stats.used_fallback);
   EXPECT_EQ(decision.stats.milp_nodes, 0);
-  EXPECT_GT(decision.stats.milp_vars, 0);  // the jobs were still compiled
+  EXPECT_EQ(decision.stats.milp_vars, 0);  // nothing was compiled
+  EXPECT_EQ(decision.stats.milp_constraints, 0);
   EXPECT_EQ(solves->value(), solves_before);
   std::map<int64_t, int> rejections;
   for (const ProvenanceRecord& record : records) {
@@ -285,11 +287,14 @@ TEST_F(SchedulerTest, GreedySkipsSolveWhenEveryOptionIsCulled) {
   EXPECT_EQ(rejections, (std::map<int64_t, int>{{1, 1}, {2, 1}, {3, 1}}));
 
   // A zero time limit asks the solver for its no-incumbent report, so the
-  // solve still runs and the cycle takes the first-fit rung.
+  // jobs are still compiled and solved, and the cycle takes the first-fit
+  // rung.
   TetriSchedConfig starved_config = FastConfig(TetriSchedConfig::NoGlobal());
   starved_config.milp.time_limit_seconds = 0.0;
   TetriScheduler starved(cluster_, starved_config);
   auto starved_decision = starved.OnCycle(0, pending, holds);
+  EXPECT_GT(starved_decision.stats.milp_vars, 0);
+  EXPECT_GT(starved_decision.stats.milp_constraints, 0);
   EXPECT_EQ(starved_decision.stats.solve_status, SolveStatus::kNoIncumbent);
   EXPECT_TRUE(starved_decision.stats.used_fallback);
   EXPECT_TRUE(starved_decision.start_now.empty());

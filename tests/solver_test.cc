@@ -1,6 +1,7 @@
 // Unit and property tests for the LP simplex and MILP branch-and-bound.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "src/solver/milp.h"
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
+#include "tests/solver_models.h"
 
 namespace tetrisched {
 namespace {
@@ -139,6 +141,33 @@ TEST(LpSolverTest, DuplicateTermsAreSummed) {
   LpResult result = LpSolver(model).Solve();
   ASSERT_EQ(result.status, LpStatus::kOptimal);
   EXPECT_NEAR(result.values[x], 3.0, 1e-6);
+}
+
+// A variable mentioned twice in one row is one column entry with the summed
+// coefficient: `x + x <= 4` solves exactly like `2x <= 4`.
+TEST(LpSolverTest, DuplicateMentionSolvesAsMergedCoefficient) {
+  auto solve = [](std::vector<LinTerm> terms) {
+    MilpModel model;
+    VarId x = model.AddContinuousVar(0, kInfinity, "x");
+    VarId y = model.AddContinuousVar(0, 1, "y");
+    model.AddObjectiveTerm(x, 1.0);
+    model.AddObjectiveTerm(y, 1.0);
+    for (LinTerm& term : terms) {
+      term.var = term.var == 0 ? x : y;
+    }
+    model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual, 4);
+    model.AddConstraint({{y, 1.0}, {x, 1.0}}, ConstraintSense::kLessEqual, 3);
+    return LpSolver(model).Solve();
+  };
+  LpResult duplicated = solve({{0, 1.0}, {1, 0.0}, {0, 1.0}});
+  LpResult merged = solve({{0, 2.0}, {1, 0.0}});
+  ASSERT_EQ(duplicated.status, LpStatus::kOptimal);
+  ASSERT_EQ(merged.status, LpStatus::kOptimal);
+  EXPECT_EQ(duplicated.iterations, merged.iterations);
+  EXPECT_EQ(duplicated.objective, merged.objective);
+  EXPECT_EQ(duplicated.values, merged.values);
+  EXPECT_NEAR(duplicated.values[0], 2.0, 1e-9);
+  EXPECT_NEAR(duplicated.objective, 3.0, 1e-9);
 }
 
 TEST(LpSolverTest, DegenerateProblemTerminates) {
@@ -362,6 +391,116 @@ TEST_P(LpRandomTest, FeasibleAndBoundConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, LpRandomTest,
                          ::testing::Range(0, 40));
+
+// Search trajectories pinned at num_threads = 1, where node order is
+// deterministic. Storage and allocation work in the LP and presolve must
+// leave every pivot and node as it was, so a change to the reduced models,
+// the pivot sequence or the tree fails here even when the optimum holds.
+struct PinnedSolve {
+  int nodes;
+  long lp_iterations;
+  double objective;
+};
+
+void ExpectPinned(const MilpModel& model, MilpOptions options,
+                  const PinnedSolve& pinned, const std::string& label) {
+  options.num_threads = 1;
+  MilpResult result = MilpSolver(model, options).Solve();
+  EXPECT_EQ(result.nodes, pinned.nodes) << label;
+  EXPECT_EQ(result.lp_iterations, pinned.lp_iterations) << label;
+  EXPECT_EQ(result.objective, pinned.objective) << label;
+}
+
+// PresolveEquivalenceTest's models (presolve_test), seeds 4242 + 0..29,
+// solved to a zero gap with presolve on and off.
+TEST(PinnedTrajectoryTest, PresolveEquivalenceModels) {
+  const PinnedSolve with_presolve[30] = {
+      {1, 6, 10.66388291367535},      // seed 0
+      {4, 18, 12.987321063146542},    // seed 1
+      {2, 4, 9.6186953718645558},     // seed 2
+      {1, 3, 7.7632126661666607},     // seed 3
+      {1, 1, 0},                      // seed 4
+      {0, 0, 0},                      // seed 5
+      {1, 5, 12.340967553656185},     // seed 6
+      {1, 5, 14.754951126817677},     // seed 7
+      {1, 8, 13.588098839466316},     // seed 8
+      {0, 0, 0},                      // seed 9
+      {4, 16, 7.7032812782295563},    // seed 10
+      {4, 13, 4.4993250920656749},    // seed 11
+      {6, 18, -0.11844202750921218},  // seed 12
+      {1, 2, 0},                      // seed 13
+      {8, 28, 0.55933102635924303},   // seed 14
+      {1, 2, 1.8338097071211108},     // seed 15
+      {1, 1, 0},                      // seed 16
+      {1, 4, 19.600027266855559},     // seed 17
+      {0, 0, 0},                      // seed 18
+      {1, 2, 4.8693398484274679},     // seed 19
+      {6, 21, -3.2070730681151987},   // seed 20
+      {6, 26, 8.301263774849879},     // seed 21
+      {1, 4, 9.9041758816640986},     // seed 22
+      {1, 4, 9.9753620538269878},     // seed 23
+      {1, 5, 9.4420976739058169},     // seed 24
+      {0, 0, 0},                      // seed 25
+      {1, 3, 1.32441319647819},       // seed 26
+      {6, 30, 5.774904796384785},     // seed 27
+      {0, 0, 0},                      // seed 28
+      {1, 2, 3.1172362338040305},     // seed 29
+  };
+  const PinnedSolve without_presolve[30] = {
+      {1, 6, 10.66388291367535},      // seed 0
+      {4, 18, 12.987321063146542},    // seed 1
+      {1, 3, 9.6186953718645558},     // seed 2
+      {1, 3, 7.7632126661666607},     // seed 3
+      {1, 1, 0},                      // seed 4
+      {1, 1, 0},                      // seed 5
+      {1, 5, 12.340967553656185},     // seed 6
+      {4, 15, 14.754951126817677},    // seed 7
+      {1, 8, 13.588098839466316},     // seed 8
+      {2, 2, 0},                      // seed 9
+      {4, 16, 7.7032812782295563},    // seed 10
+      {4, 13, 4.4993250920656749},    // seed 11
+      {6, 18, -0.11844202750921218},  // seed 12
+      {1, 2, 0},                      // seed 13
+      {8, 28, 0.55933102635924303},   // seed 14
+      {1, 2, 1.8338097071211108},     // seed 15
+      {1, 1, 0},                      // seed 16
+      {1, 4, 19.600027266855559},     // seed 17
+      {1, 2, 0},                      // seed 18
+      {1, 2, 4.8693398484274679},     // seed 19
+      {6, 21, -3.2070730681151987},   // seed 20
+      {6, 26, 8.301263774849879},     // seed 21
+      {2, 4, 9.9041758816640986},     // seed 22
+      {2, 5, 9.9753620538269878},     // seed 23
+      {6, 22, 9.4420976739058169},    // seed 24
+      {1, 2, 0},                      // seed 25
+      {1, 3, 1.32441319647819},       // seed 26
+      {6, 30, 5.774904796384785},     // seed 27
+      {1, 3, 0},                      // seed 28
+      {1, 2, 3.1172362338040305},     // seed 29
+  };
+  for (int seed = 0; seed < 30; ++seed) {
+    MilpModel model = RandomPresolveModel(4242 + seed);
+    MilpOptions options;
+    options.rel_gap = 0.0;
+    ExpectPinned(model, options, with_presolve[seed],
+                 "presolve seed " + std::to_string(seed));
+    options.enable_presolve = false;
+    ExpectPinned(model, options, without_presolve[seed],
+                 "no-presolve seed " + std::to_string(seed));
+  }
+}
+
+// The micro_solver 6-block packing model at its default 10% gap: split into
+// components, and as one monolithic search cut at 2,000 nodes.
+TEST(PinnedTrajectoryTest, SixBlockModel) {
+  MilpModel model = BlockPackingModel(6, 14, 7, 42);
+  MilpOptions options;
+  options.time_limit_seconds = 60.0;
+  ExpectPinned(model, options, {189, 1521, 85.535515432745868}, "decomposed");
+  options.enable_decomposition = false;
+  options.max_nodes = 2000;
+  ExpectPinned(model, options, {2000, 29020, 0}, "monolithic");
+}
 
 TEST(MilpModelTest, FeasibilityChecker) {
   MilpModel model;
