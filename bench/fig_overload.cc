@@ -59,8 +59,6 @@ std::unique_ptr<TetriScheduler> MakePolicy(const Cluster& cluster,
   scheduler_config.milp.max_nodes = 1500;
   if (config == Config::kAdaptive) {
     scheduler_config.budget.budget_seconds = kCycleBudgetSeconds;
-    scheduler_config.budget.aimd.shrink_after = 2;
-    scheduler_config.budget.aimd.restore_after = 4;
   }
   return std::make_unique<TetriScheduler>(cluster, scheduler_config);
 }

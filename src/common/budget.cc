@@ -67,9 +67,8 @@ int AimdController::Observe(bool blown) {
   if (blown) {
     ++blown_streak_;
     healthy_streak_ = 0;
-    if (blown_streak_ >= options_.shrink_after &&
-        level_ > options_.min_level) {
-      level_ = std::max(options_.min_level, level_ * options_.shrink_factor);
+    if (blown_streak_ >= kShrinkAfter && level_ > kMinLevel) {
+      level_ = std::max(kMinLevel, level_ * kShrinkFactor);
       blown_streak_ = 0;
       return -1;
     }
@@ -77,8 +76,8 @@ int AimdController::Observe(bool blown) {
   }
   ++healthy_streak_;
   blown_streak_ = 0;
-  if (healthy_streak_ >= options_.restore_after && level_ < 1.0) {
-    level_ = std::min(1.0, level_ + options_.restore_step);
+  if (healthy_streak_ >= kRestoreAfter && level_ < 1.0) {
+    level_ = std::min(1.0, level_ + kRestoreStep);
     healthy_streak_ = 0;
     return 1;
   }
@@ -87,7 +86,7 @@ int AimdController::Observe(bool blown) {
 
 void AimdController::RestoreState(double level, int blown_streak,
                                   int healthy_streak) {
-  level_ = std::clamp(level, options_.min_level, 1.0);
+  level_ = std::clamp(level, kMinLevel, 1.0);
   blown_streak_ = std::max(blown_streak, 0);
   healthy_streak_ = std::max(healthy_streak, 0);
 }

@@ -18,7 +18,7 @@
 //                      per-cycle blown/healthy budget signal. Deterministic:
 //                      the trajectory is a pure function of the observation
 //                      sequence.
-//   * CycleBudgetOptions — the scheduler-facing knobs
+//   * CycleBudgetOptions — the scheduler-facing budget
 //                      (TetriSchedConfig::budget).
 
 #ifndef TETRISCHED_COMMON_BUDGET_H_
@@ -100,25 +100,21 @@ class DeadlinePool {
   double outstanding_weight_;
 };
 
-struct AimdOptions {
-  int shrink_after = 3;        // consecutive blown cycles before a shrink
-  double shrink_factor = 0.5;  // multiplicative decrease of the level
-  int restore_after = 4;       // consecutive healthy cycles before a restore
-  double restore_step = 0.125; // additive increase of the level
-  double min_level = 0.0;      // floor (the scheduler quantizes to >= NP)
-};
-
-// AIMD over a level in [min_level, 1]. The scheduler maps the level onto the
+// AIMD over a level in [kMinLevel, 1]. The scheduler maps the level onto the
 // effective plan-ahead window (1 = configured plan_ahead, min = one quantum,
-// the NP configuration).
+// the NP configuration). The tuning is fixed: tetrischedd runs these values,
+// and they are the ones its open-loop benchmark measures (DESIGN.md §13).
 class AimdController {
  public:
-  AimdController() = default;
-  explicit AimdController(AimdOptions options) : options_(options) {}
+  static constexpr int kShrinkAfter = 3;   // blown cycles before a shrink
+  static constexpr double kShrinkFactor = 0.5;
+  static constexpr int kRestoreAfter = 4;  // healthy cycles before a restore
+  static constexpr double kRestoreStep = 0.125;
+  static constexpr double kMinLevel = 0.0;  // the scheduler floors at NP
 
   // Feeds one cycle's outcome. Returns -1 when the level shrank this
   // observation, +1 when it restored, 0 when unchanged. Each adaptation
-  // resets its streak, so K blown cycles cause one shrink, not K - shrink_after.
+  // resets its streak, so K blown cycles cause K / kShrinkAfter shrinks.
   int Observe(bool blown);
 
   double level() const { return level_; }
@@ -129,34 +125,21 @@ class AimdController {
   void RestoreState(double level, int blown_streak, int healthy_streak);
 
  private:
-  AimdOptions options_;
   double level_ = 1.0;
   int blown_streak_ = 0;
   int healthy_streak_ = 0;
 };
 
-// Scheduler-facing budget knobs (TetriSchedConfig::budget, DESIGN.md §13).
+// Scheduler-facing budget knob (TetriSchedConfig::budget, DESIGN.md §13).
 struct CycleBudgetOptions {
   // Wall-clock budget for one whole scheduling cycle, in seconds. 0 (the
   // default) disables deadline enforcement and adaptation entirely: no
   // deadline is armed and scheduling is bit-identical to pre-budget
-  // behavior. Operationally this is the cycle period (paper: 4 s).
+  // behavior. Operationally this is the cycle period (paper: 4 s). A
+  // positive budget clamps each solve to what the cycle has left and lets
+  // AimdController shrink the plan-ahead window and relax rel_gap under
+  // sustained overload.
   double budget_seconds = 0.0;
-  // Phase apportionment, as fractions of budget_seconds. The solve phase
-  // gets whatever generation and compile left over, minus the commit
-  // reserve; each phase that exceeds its share bumps a
-  // tetrisched_budget_overrun_<phase>_total counter.
-  double strl_gen_share = 0.10;
-  double compile_share = 0.10;
-  double commit_share = 0.10;
-  // Overload adaptation. After aimd.shrink_after consecutive blown cycles
-  // the effective plan-ahead shrinks multiplicatively toward the NP
-  // configuration (one quantum) and rel_gap relaxes to relaxed_rel_gap;
-  // after aimd.restore_after healthy cycles it restores additively.
-  bool adapt_plan_ahead = true;
-  bool adapt_rel_gap = true;
-  double relaxed_rel_gap = 0.25;
-  AimdOptions aimd;
 };
 
 }  // namespace tetrisched

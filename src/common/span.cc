@@ -62,12 +62,19 @@ void MaybeFireSpanCrashHook(const char* name) {
   hook.fn();
 }
 
-uint64_t NowMicros() {
+uint64_t MicrosSinceEpoch(Clock::time_point t) {
+  // The epoch is taken on first use, which can postdate a scope's entry
+  // reading; such a scope starts at 0.
+  const Clock::time_point epoch = ProcessEpoch();
+  if (t <= epoch) {
+    return 0;
+  }
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            ProcessEpoch())
+      std::chrono::duration_cast<std::chrono::microseconds>(t - epoch)
           .count());
 }
+
+uint64_t NowMicros() { return MicrosSinceEpoch(Clock::now()); }
 
 uint32_t CurrentThreadId() {
   static std::atomic<uint32_t> next_id{0};

@@ -3,25 +3,27 @@
 //
 // Usage on a code path:
 //
-//   void TetriScheduler::OnCycle(...) {
-//     TETRI_SPAN("scheduler.cycle");          // whole-function span
-//     { TETRI_SPAN("scheduler.strl_gen"); ... }  // nested child span
+//   Decision TetriScheduler::OnCycle(...) {
+//     ScopedSpan cycle("scheduler.cycle", &seconds);  // span + phase timer
+//     { TETRI_SPAN("scheduler.validate"); ... }      // nested child span
 //   }
 //
-// Collection is off by default. A disabled ScopedSpan costs one relaxed
-// atomic load and nothing else — no clock read, no allocation — so
-// instrumentation can stay compiled into hot paths (the overhead is verified
-// by bench/micro_solver's span benchmarks). When ObservabilityEnabled() is
-// set (metrics.h), each span records its name, wall-clock interval, thread,
-// and nesting depth into the global SpanCollector; nesting is reconstructed
-// per thread from start/duration containment, which is exactly how Chrome's
-// trace viewer stacks "X" (complete) events.
+// Collection is off by default. A disabled ScopedSpan without a seconds
+// sink costs one relaxed atomic load and nothing else — no clock read, no
+// allocation — so instrumentation can stay compiled into hot paths (the
+// overhead is verified by bench/micro_solver's span benchmarks). When
+// ObservabilityEnabled() is set (metrics.h), each span records its name,
+// wall-clock interval, thread, and nesting depth into the global
+// SpanCollector; nesting is reconstructed per thread from start/duration
+// containment, which is exactly how Chrome's trace viewer stacks "X"
+// (complete) events.
 //
 // Span names must be string literals (the collector stores the pointer).
 
 #ifndef TETRISCHED_COMMON_SPAN_H_
 #define TETRISCHED_COMMON_SPAN_H_
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -42,6 +44,7 @@ struct SpanRecord {
 namespace span_internal {
 
 // Microseconds since a process-wide steady_clock epoch.
+uint64_t MicrosSinceEpoch(std::chrono::steady_clock::time_point t);
 uint64_t NowMicros();
 // Dense per-thread id (0, 1, 2, ... in first-use order).
 uint32_t CurrentThreadId();
@@ -82,36 +85,60 @@ class SpanCollector {
   std::vector<SpanRecord> spans_;
 };
 
+// One RAII timer per scope. With a `seconds` sink it is also the phase
+// timer: the scope reads the clock once on entry and once on exit, adds the
+// interval to *seconds, and (when observability is on) records the span from
+// the same two readings, so a phase's CycleStats field and its span agree to
+// within the span's microsecond rounding.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) {
+  using Clock = std::chrono::steady_clock;
+
+  explicit ScopedSpan(const char* name, double* seconds = nullptr)
+      : seconds_(seconds) {
     if (span_internal::SpanCrashHookArmed()) {
       span_internal::MaybeFireSpanCrashHook(name);  // may throw (by design)
     }
-    if (!ObservabilityEnabled()) {
+    if (ObservabilityEnabled()) {
+      name_ = name;
+      depth_ = span_internal::CurrentDepth()++;
+    } else if (seconds_ == nullptr) {
       return;  // zero-overhead disabled path: one relaxed load, no clock
     }
-    name_ = name;
-    depth_ = span_internal::CurrentDepth()++;
-    start_us_ = span_internal::NowMicros();
+    start_ = Clock::now();
   }
 
   ~ScopedSpan() {
-    if (name_ == nullptr) {
+    if (name_ == nullptr && seconds_ == nullptr) {
       return;
     }
-    --span_internal::CurrentDepth();
-    SpanCollector::Global().Record(
-        {name_, start_us_, span_internal::NowMicros() - start_us_,
-         span_internal::CurrentThreadId(), depth_});
+    const Clock::time_point end = Clock::now();
+    if (seconds_ != nullptr) {
+      *seconds_ += std::chrono::duration<double>(end - start_).count();
+    }
+    if (name_ != nullptr) {
+      --span_internal::CurrentDepth();
+      SpanCollector::Global().Record(
+          {name_, span_internal::MicrosSinceEpoch(start_),
+           static_cast<uint64_t>(
+               std::chrono::duration_cast<std::chrono::microseconds>(end -
+                                                                     start_)
+                   .count()),
+           span_internal::CurrentThreadId(), depth_});
+    }
   }
+
+  // Entry clock reading; valid only when a sink was given or observability
+  // is on.
+  Clock::time_point start() const { return start_; }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
   const char* name_ = nullptr;
-  uint64_t start_us_ = 0;
+  double* seconds_ = nullptr;
+  Clock::time_point start_{};
   int32_t depth_ = 0;
 };
 

@@ -53,10 +53,11 @@ struct Placement {
   }
 };
 
-// Per-cycle measurements feeding the Fig-12 scalability analysis. These are
-// per-decision snapshots of the same timers that feed the process-wide
-// MetricsRegistry phase histograms (tetrisched_phase_*_ms; DESIGN.md §10):
-// the struct keeps the test-facing per-cycle view, the registry keeps the
+// Per-cycle measurements feeding the Fig-12 scalability analysis. Each phase
+// is timed once (a ScopedSpan with a seconds sink, DESIGN.md §10); that one
+// reading lands here, in the process-wide MetricsRegistry phase histograms
+// (tetrisched_phase_*_ms) and, when observability is on, in the phase's span.
+// The struct keeps the test-facing per-cycle view, the registry keeps the
 // cumulative distributions.
 struct CycleStats {
   double cycle_seconds = 0.0;   // wall-clock for the whole decision
@@ -92,11 +93,11 @@ struct CycleStats {
   // means the budget subsystem was off this cycle and the rest are inert.
   double budget_seconds = 0.0;     // configured cycle budget
   bool budget_blown = false;       // cycle_seconds exceeded the budget
-  int phase_overruns = 0;          // phases that exceeded their share
   SimDuration effective_plan_ahead = 0;  // window actually used this cycle
   double effective_rel_gap = 0.0;        // rel_gap actually used this cycle
   // AIMD adaptation taken *after* this cycle: -1 = plan-ahead shrank,
-  // +1 = restored a step, 0 = unchanged. Journaled as kPlanAheadAdapt.
+  // +1 = restored a step, 0 = unchanged. The adapted state itself is durable
+  // through the policy blob journaled with kCommitApplied.
   int plan_ahead_adapted = 0;
   // Incumbents refused by the independent plan certifier (certify.h); each
   // reject degrades the cycle to the greedy ladder rung.

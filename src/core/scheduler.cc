@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "src/common/bytes.h"
 #include "src/common/json.h"
@@ -20,9 +21,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
+// Fixed cycle-budget tuning (DESIGN.md §13): the share of the budget held
+// back for commit, and the rel_gap a solve relaxes to at AIMD level 0.
+constexpr double kCommitReserve = 0.10;
+constexpr double kRelaxedRelGap = 0.25;
 
 // Registry-backed cycle-phase instruments (DESIGN.md §10). Pointers are
 // resolved once and cached; instrument updates are lock-free.
@@ -41,10 +43,6 @@ struct CycleInstruments {
   Counter* dropped_jobs;
   // Cycle budget / adaptive plan-ahead instruments (DESIGN.md §13).
   Counter* budget_blown_cycles;
-  Counter* overrun_strl_gen;
-  Counter* overrun_compile;
-  Counter* overrun_solve;
-  Counter* overrun_commit;
   Counter* plan_ahead_adaptations;
   Gauge* effective_plan_ahead;
   // Degradation-ladder and preemption audit (one rung counter fires per
@@ -71,10 +69,6 @@ CycleInstruments& Instruments() {
       registry.GetCounter("tetrisched_validator_rejects_total"),
       registry.GetCounter("tetrisched_dropped_jobs_total"),
       registry.GetCounter("tetrisched_budget_blown_cycles_total"),
-      registry.GetCounter("tetrisched_budget_overrun_strl_gen_total"),
-      registry.GetCounter("tetrisched_budget_overrun_compile_total"),
-      registry.GetCounter("tetrisched_budget_overrun_solve_total"),
-      registry.GetCounter("tetrisched_budget_overrun_commit_total"),
       registry.GetCounter("tetrisched_plan_ahead_adaptations_total"),
       registry.GetGauge("tetrisched_effective_plan_ahead"),
       registry.GetCounter("tetrisched_ladder_rung0_cycles_total"),
@@ -195,7 +189,6 @@ TetriScheduler::TetriScheduler(const Cluster& cluster, TetriSchedConfig config)
       generator_(cluster, StrlGenOptions{config.plan_ahead, config.quantum,
                                          config.heterogeneity_aware,
                                          config.be_decay_horizon}),
-      aimd_(config.budget.aimd),
       effective_plan_ahead_(config.plan_ahead),
       effective_rel_gap_(config.milp.rel_gap) {}
 
@@ -308,15 +301,17 @@ AvailabilityGrid TetriScheduler::BuildAvailability(
 TetriScheduler::Decision TetriScheduler::OnCycle(
     SimTime now, const std::vector<const Job*>& pending,
     const std::vector<RunningHold>& running) {
-  TETRI_SPAN("scheduler.cycle");
-  auto cycle_start = Clock::now();
-  cycle_start_ = cycle_start;  // anchors CycleMilpOptions' remaining-budget
-  Decision decision;
-  decision.stats.pending_count = static_cast<int>(pending.size());
   if (pending.empty()) {
     previous_plan_.clear();
-    return decision;
+    return {};
   }
+  // One timer per phase: each ScopedSpan below feeds its CycleStats field
+  // (or histogram) and, when observability is on, its span (DESIGN.md §10).
+  Decision decision;
+  double cycle_seconds = 0.0;
+  std::optional<ScopedSpan> cycle(std::in_place, "scheduler.cycle",
+                                  &cycle_seconds);
+  cycle_start_ = cycle->start();  // anchors CycleMilpOptions' remaining budget
   Instruments().cycles->Increment();
   ProvenanceRecorder& recorder = ProvenanceRecorder::Global();
   if (recorder.enabled()) {
@@ -325,13 +320,12 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
     recorder.BeginCycle(now, effective_plan_ahead_ < config_.plan_ahead);
   }
 
-  auto availability_start = Clock::now();
+  double availability_seconds = 0.0;
   AvailabilityGrid availability = [&] {
-    TETRI_SPAN("scheduler.availability");
+    ScopedSpan phase("scheduler.availability", &availability_seconds);
     return BuildAvailability(now, running);
   }();
-  Instruments().availability_ms->Observe(
-      1e3 * Seconds(availability_start, Clock::now()));
+  Instruments().availability_ms->Observe(1e3 * availability_seconds);
   std::set<JobId> planned;
   decision = config_.global ? GlobalCycle(now, pending, availability, &planned)
                             : GreedyCycle(now, pending, availability);
@@ -411,19 +405,20 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
   // Rung 2: the solver ended with nothing better than the trivial empty
   // plan, so replan the cycle with the solver-free first-fit pass.
   auto first_fit = [&]() {
-    TETRI_SPAN("scheduler.fallback");
-    auto fallback_start = Clock::now();
-    std::set<JobId> dropped(decision.drop.begin(), decision.drop.end());
-    std::vector<const Job*> eligible;
-    for (const Job* job : pending) {
-      if (dropped.count(job->id) == 0) {
-        eligible.push_back(job);
+    double fallback_seconds = 0.0;
+    std::vector<Placement> placements = [&] {
+      ScopedSpan phase("scheduler.fallback", &fallback_seconds);
+      std::set<JobId> dropped(decision.drop.begin(), decision.drop.end());
+      std::vector<const Job*> eligible;
+      for (const Job* job : pending) {
+        if (dropped.count(job->id) == 0) {
+          eligible.push_back(job);
+        }
       }
-    }
-    AvailabilityGrid fresh = BuildAvailability(now, running);
-    std::vector<Placement> placements = FirstFitPass(now, eligible, fresh);
-    Instruments().fallback_ms->Observe(
-        1e3 * Seconds(fallback_start, Clock::now()));
+      AvailabilityGrid fresh = BuildAvailability(now, running);
+      return FirstFitPass(now, eligible, fresh);
+    }();
+    Instruments().fallback_ms->Observe(1e3 * fallback_seconds);
     return placements;
   };
   if (decision.stats.solve_status == SolveStatus::kNoIncumbent) {
@@ -505,40 +500,16 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
   decision.stats.pending_count = static_cast<int>(pending.size());
   decision.stats.scheduled_count = static_cast<int>(decision.start_now.size());
   decision.stats.dropped_count = static_cast<int>(decision.drop.size());
-  decision.stats.cycle_seconds = Seconds(cycle_start, Clock::now());
+  cycle.reset();  // closes the cycle's span and timer
+  decision.stats.cycle_seconds = cycle_seconds;
 
   CycleInstruments& instruments = Instruments();
-  const CycleBudgetOptions& budget = config_.budget;
-  if (budget.budget_seconds > 0.0) {
-    // Budget accounting + AIMD adaptation (DESIGN.md §13). Phase shares are
-    // advisory (overruns are counted, not enforced); only the solve phase is
-    // hard-limited, via the deadline in CycleMilpOptions().
-    decision.stats.budget_seconds = budget.budget_seconds;
-    decision.stats.budget_blown =
-        decision.stats.cycle_seconds > budget.budget_seconds;
-    const double solve_share =
-        std::max(0.0, 1.0 - budget.strl_gen_share - budget.compile_share -
-                          budget.commit_share);
-    const struct {
-      double spent;
-      double share;
-      Counter* counter;
-    } phases[] = {
-        {decision.stats.strl_gen_seconds, budget.strl_gen_share,
-         instruments.overrun_strl_gen},
-        {decision.stats.compile_seconds, budget.compile_share,
-         instruments.overrun_compile},
-        {decision.stats.solver_seconds, solve_share,
-         instruments.overrun_solve},
-        {decision.stats.commit_seconds, budget.commit_share,
-         instruments.overrun_commit},
-    };
-    for (const auto& phase : phases) {
-      if (phase.spent > phase.share * budget.budget_seconds) {
-        ++decision.stats.phase_overruns;
-        phase.counter->Increment();
-      }
-    }
+  const double budget_seconds = config_.budget.budget_seconds;
+  if (budget_seconds > 0.0) {
+    // Budget accounting + AIMD adaptation (DESIGN.md §13). Only the solve
+    // is limited, via the deadline in CycleMilpOptions().
+    decision.stats.budget_seconds = budget_seconds;
+    decision.stats.budget_blown = cycle_seconds > budget_seconds;
     if (decision.stats.budget_blown) {
       instruments.budget_blown_cycles->Increment();
     }
@@ -570,9 +541,7 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
   }
   decision.stats.effective_plan_ahead = effective_plan_ahead_;
   decision.stats.effective_rel_gap =
-      budget.budget_seconds > 0.0 && budget.adapt_rel_gap
-          ? effective_rel_gap_
-          : config_.milp.rel_gap;
+      budget_seconds > 0.0 ? effective_rel_gap_ : config_.milp.rel_gap;
 
   instruments.cycle_ms->Observe(1e3 * decision.stats.cycle_seconds);
   instruments.strl_gen_ms->Observe(1e3 * decision.stats.strl_gen_seconds);
@@ -614,10 +583,9 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
 
   // Expand every pending job; jobs with no positive-value option are dropped
   // (their SLO is no longer reachable).
-  auto strl_gen_start = Clock::now();
   std::vector<StrlExpr> job_exprs;
   {
-    TETRI_SPAN("scheduler.strl_gen");
+    ScopedSpan phase("scheduler.strl_gen", &decision.stats.strl_gen_seconds);
     for (const Job* job : pending) {
       std::optional<StrlExpr> expr =
           generator_.GenerateJobExpr(*job, now, &registry);
@@ -628,7 +596,6 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
       }
     }
   }
-  decision.stats.strl_gen_seconds = Seconds(strl_gen_start, Clock::now());
   ProvenanceRecorder& recorder = ProvenanceRecorder::Global();
   if (recorder.enabled()) {
     RecordOffers(recorder, now, registry, pending);
@@ -639,14 +606,12 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
     return decision;
   }
 
-  auto compile_start = Clock::now();
-  StrlExpr root = job_exprs.size() == 1 ? std::move(job_exprs[0])
-                                        : Sum(std::move(job_exprs));
   CompiledStrl compiled = [&] {
-    TETRI_SPAN("scheduler.compile");
+    ScopedSpan phase("scheduler.compile", &decision.stats.compile_seconds);
+    StrlExpr root = job_exprs.size() == 1 ? std::move(job_exprs[0])
+                                          : Sum(std::move(job_exprs));
     return StrlCompiler(availability).Compile(root);
   }();
-  decision.stats.compile_seconds = Seconds(compile_start, Clock::now());
   decision.stats.milp_vars = compiled.model().num_vars();
   decision.stats.milp_constraints = compiled.model().num_constraints();
 
@@ -694,8 +659,7 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
   // Independent plan certifier (certify.h): re-check the incumbent against
   // the model before committing anything derived from it. A reject demotes
   // the cycle to kNoIncumbent, which sends OnCycle down the greedy rung.
-  if (config_.certify_plans &&
-      result.solve_status != SolveStatus::kNoIncumbent) {
+  if (result.solve_status != SolveStatus::kNoIncumbent) {
     CertifyReport report = [&] {
       TETRI_SPAN("scheduler.certify");
       return CertifyPlan(compiled.model(), result, milp_options);
@@ -719,8 +683,8 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
 
   // Commit only the allocations starting now; remember deferred choices as
   // next cycle's warm start.
-  TETRI_SPAN("scheduler.commit");
-  auto commit_start = Clock::now();
+  std::optional<ScopedSpan> commit(std::in_place, "scheduler.commit",
+                                   &decision.stats.commit_seconds);
   std::map<JobId, Placement> starting;
   std::vector<StrlAllocation> allocations =
       compiled.ExtractAllocations(result.values);
@@ -828,54 +792,47 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
       recorder.Record(std::move(record));
     }
   }
-  decision.stats.commit_seconds = Seconds(commit_start, Clock::now());
+  commit.reset();  // closes the span and timer before `decision` is returned
   return decision;
 }
 
 MilpOptions TetriScheduler::CycleMilpOptions() const {
   MilpOptions milp = config_.milp;
-  const CycleBudgetOptions& budget = config_.budget;
-  if (budget.budget_seconds <= 0.0) {
+  const double budget_seconds = config_.budget.budget_seconds;
+  if (budget_seconds <= 0.0) {
     return milp;  // budget subsystem off: configured options verbatim
   }
-  if (budget.adapt_rel_gap) {
-    milp.rel_gap = effective_rel_gap_;
-  }
+  milp.rel_gap = effective_rel_gap_;
   // Wall-clock left in the cycle budget once earlier phases spent theirs,
   // minus the commit reserve. A cycle that already blew its budget before
   // the solve gets a zero limit -> kNoSolution -> the greedy ladder rung,
   // which is the designed degradation rather than a torn solve.
-  const double elapsed = Seconds(cycle_start_, Clock::now());
+  const double elapsed =
+      std::chrono::duration<double>(Clock::now() - cycle_start_).count();
   const double solve_budget =
-      budget.budget_seconds * (1.0 - budget.commit_share) - elapsed;
+      budget_seconds * (1.0 - kCommitReserve) - elapsed;
   milp.time_limit_seconds =
       std::min(milp.time_limit_seconds, std::max(solve_budget, 0.0));
   return milp;
 }
 
 void TetriScheduler::ApplyAimdLevel() {
-  const CycleBudgetOptions& budget = config_.budget;
   const double level = aimd_.level();
-  if (budget.adapt_plan_ahead) {
-    // Quantize the shrunk window to whole quanta, flooring at one quantum:
-    // level 0 degrades to the paper's NP (now-or-never) configuration.
-    const double target = level * static_cast<double>(config_.plan_ahead);
-    const int64_t slices = std::max<int64_t>(
-        1, static_cast<int64_t>(std::llround(
-               target / static_cast<double>(config_.quantum))));
-    effective_plan_ahead_ =
-        std::min(config_.plan_ahead, slices * config_.quantum);
-    generator_.set_plan_ahead(effective_plan_ahead_);
-    Instruments().effective_plan_ahead->Set(
-        static_cast<double>(effective_plan_ahead_));
-  }
-  if (budget.adapt_rel_gap) {
-    // Interpolate between the configured gap (level 1) and the relaxed
-    // overload gap (level 0).
-    effective_rel_gap_ =
-        budget.relaxed_rel_gap +
-        level * (config_.milp.rel_gap - budget.relaxed_rel_gap);
-  }
+  // Quantize the shrunk window to whole quanta, flooring at one quantum:
+  // level 0 degrades to the paper's NP (now-or-never) configuration.
+  const double target = level * static_cast<double>(config_.plan_ahead);
+  const int64_t slices = std::max<int64_t>(
+      1, static_cast<int64_t>(
+             std::llround(target / static_cast<double>(config_.quantum))));
+  effective_plan_ahead_ =
+      std::min(config_.plan_ahead, slices * config_.quantum);
+  generator_.set_plan_ahead(effective_plan_ahead_);
+  Instruments().effective_plan_ahead->Set(
+      static_cast<double>(effective_plan_ahead_));
+  // Interpolate between the configured gap (level 1) and the relaxed
+  // overload gap (level 0).
+  effective_rel_gap_ =
+      kRelaxedRelGap + level * (config_.milp.rel_gap - kRelaxedRelGap);
 }
 
 TetriScheduler::Decision TetriScheduler::GreedyCycle(
@@ -896,12 +853,10 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
 
   for (const Job* job : ordered) {
     OptionRegistry registry;
-    auto strl_gen_start = Clock::now();
     std::optional<StrlExpr> expr = [&] {
-      TETRI_SPAN("scheduler.strl_gen");
+      ScopedSpan phase("scheduler.strl_gen", &decision.stats.strl_gen_seconds);
       return generator_.GenerateJobExpr(*job, now, &registry);
     }();
-    decision.stats.strl_gen_seconds += Seconds(strl_gen_start, Clock::now());
     if (!expr.has_value()) {
       decision.drop.push_back(job->id);
       if (recorder.enabled()) {
@@ -925,26 +880,26 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
         recorder.Record(std::move(record));
       }
     };
-    auto compile_start = Clock::now();
-    StrlCompiler compiler(availability);
-    // When the compiler would cull every option, the solve could only return
-    // the empty plan: skip both. A non-positive time limit still compiles and
-    // solves, because it asks MilpSolver for the no-incumbent report that
-    // drives the fallback rung.
-    if (config_.milp.time_limit_seconds > 0.0 &&
-        !compiler.AnyLeafFits(*expr)) {
-      decision.stats.compile_seconds += Seconds(compile_start, Clock::now());
+    std::optional<CompiledStrl> compiled;
+    {
+      ScopedSpan phase("scheduler.compile", &decision.stats.compile_seconds);
+      StrlCompiler compiler(availability);
+      // When the compiler would cull every option, the solve could only
+      // return the empty plan: skip both. A non-positive time limit still
+      // compiles and solves, because it asks MilpSolver for the no-incumbent
+      // report that drives the fallback rung.
+      if (config_.milp.time_limit_seconds <= 0.0 ||
+          compiler.AnyLeafFits(*expr)) {
+        compiled.emplace(compiler.Compile(*expr));
+      }
+    }
+    if (!compiled.has_value()) {
       reject();
       continue;
     }
-    CompiledStrl compiled = [&] {
-      TETRI_SPAN("scheduler.compile");
-      return compiler.Compile(*expr);
-    }();
-    decision.stats.compile_seconds += Seconds(compile_start, Clock::now());
-    decision.stats.milp_vars += compiled.model().num_vars();
-    decision.stats.milp_constraints += compiled.model().num_constraints();
-    MilpSolver solver(compiled.model(), config_.milp);
+    decision.stats.milp_vars += compiled->model().num_vars();
+    decision.stats.milp_constraints += compiled->model().num_constraints();
+    MilpSolver solver(compiled->model(), config_.milp);
     MilpResult result = [&] {
       TETRI_SPAN("scheduler.solve");
       return solver.Solve();
@@ -963,11 +918,11 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
 
     // Commit the chosen option against this cycle's availability so later
     // (lower-priority) jobs cannot double-book it.
-    auto commit_start = Clock::now();
+    ScopedSpan commit("scheduler.commit", &decision.stats.commit_seconds);
     Placement placement;
     bool starts_now = false;
     for (const StrlAllocation& alloc :
-         compiled.ExtractAllocations(result.values)) {
+         compiled->ExtractAllocations(result.values)) {
       auto option_it = registry.find(alloc.tag);
       if (option_it == registry.end()) {
         continue;
@@ -1009,7 +964,6 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
     if (starts_now) {
       decision.start_now.push_back(std::move(placement));
     }
-    decision.stats.commit_seconds += Seconds(commit_start, Clock::now());
   }
   return decision;
 }

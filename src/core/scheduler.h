@@ -55,12 +55,10 @@ struct TetriSchedConfig {
   bool enable_warm_start = true;
   // Cycle deadline enforcement + adaptive plan-ahead (DESIGN.md §13).
   // budget.budget_seconds == 0 (default) keeps the whole subsystem inert.
+  // Independently of the budget, every global-cycle MILP incumbent is
+  // re-checked by the plan certifier (certify.h) before commit; a reject
+  // degrades the cycle to the greedy ladder rung.
   CycleBudgetOptions budget;
-  // Independent plan certifier (certify.h): re-check every MILP incumbent
-  // against the uncompiled model before commit; a reject degrades the cycle
-  // to the greedy ladder rung. Read-only on healthy plans, so it never
-  // changes a correct schedule. Independent of budget_seconds.
-  bool certify_plans = true;
   MilpOptions milp = DefaultMilpOptions();
 
   static MilpOptions DefaultMilpOptions() {

@@ -54,9 +54,9 @@ enum class DurableEventKind : uint8_t {
   kGangPreempt = 10,  // gang preempted back to pending
   kJobDropped = 11,   // job dropped (deadline unreachable / retries spent)
   // AIMD plan-ahead adaptation (DESIGN.md §13): k = direction (-1 shrink,
-  // +1 restore), runtime = the new effective plan-ahead window. Informational
-  // for replay inspection — the authoritative adapted state rides the
-  // kCommitApplied policy blob, so ApplyEvent treats this as a no-op.
+  // +1 restore), runtime = the new effective plan-ahead window. No longer
+  // written; still decoded so older journals replay. The adapted state rides
+  // the kCommitApplied policy blob, so ApplyEvent treats this as a no-op.
   kPlanAheadAdapt = 12,
   // Fence-epoch bump (DESIGN.md §15): the scheduler gave up on `node` and
   // raised its placement epoch to `epoch`. Journaled *before* the in-memory

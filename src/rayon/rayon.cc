@@ -31,7 +31,8 @@ RayonState RayonAdmission::ExportState() const {
 }
 
 void RayonAdmission::Restore(const RayonState& state) {
-  capacity_ = state.capacity;
+  // capacity_ stays: it is the cluster's, set by the constructor, and an
+  // image recovered from an empty journal carries capacity 0.
   num_accepted_ = state.num_accepted;
   num_rejected_ = state.num_rejected;
   deltas_.clear();

@@ -42,7 +42,8 @@ struct ReservationDecision {
 // and rebuilt on crash recovery (DESIGN.md §11); replaying journaled
 // admissions/releases on top of an exported state must land exactly where
 // the live object would, so the delta arithmetic in ExportState/Restore
-// mirrors Submit/Release bit for bit.
+// mirrors Submit/Release bit for bit. The capacity is informational:
+// Restore keeps the restoring object's own (the cluster's) capacity.
 struct RayonState {
   int capacity = 0;
   int num_accepted = 0;
@@ -74,8 +75,9 @@ class RayonAdmission {
   void Release(TimeRange interval, int k);
 
   // Snapshot/recovery support: ExportState captures the full agenda;
-  // Restore overwrites this object with a previously exported (or
-  // journal-replayed) state. Restore(ExportState()) is an exact no-op.
+  // Restore overwrites this object's counters and agenda with a previously
+  // exported (or journal-replayed) state, keeping its capacity.
+  // Restore(ExportState()) is an exact no-op.
   RayonState ExportState() const;
   void Restore(const RayonState& state);
 

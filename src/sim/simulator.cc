@@ -1345,17 +1345,6 @@ SimMetrics Simulator::Run() {
       // and close with kCommitApplied carrying the policy's durable state.
       // A crash anywhere in between leaves an open intent that recovery
       // reconciles against what actually reached the cluster.
-      if (persist != nullptr && decision.stats.plan_ahead_adapted != 0) {
-        // AIMD adaptation record (DESIGN.md §13): informational for journal
-        // inspection; the authoritative adapted state rides the
-        // kCommitApplied policy blob below.
-        DurableEvent adapt;
-        adapt.kind = DurableEventKind::kPlanAheadAdapt;
-        adapt.time = now;
-        adapt.k = decision.stats.plan_ahead_adapted;
-        adapt.runtime = decision.stats.effective_plan_ahead;
-        durable(adapt);
-      }
       if (persist != nullptr) {
         DurableEvent intent;
         intent.kind = DurableEventKind::kCommitIntent;

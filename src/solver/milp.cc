@@ -24,6 +24,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// An LP value within this distance of an integer counts as integral.
+constexpr double kIntTol = 1e-6;
+
 // Registry-backed solver instruments (DESIGN.md §10). The phase histograms
 // attribute each solve's wall-clock to presolve / LP pricing / B&B search;
 // the counters aggregate work done by all branch-and-bound workers. Only
@@ -129,12 +132,11 @@ void ApplyNodeBounds(const Node& node, std::span<double> lower,
 // Picks the integer-like variable whose LP value is most fractional,
 // preferring binaries (choice indicators) over general integers (partition
 // counts) — indicator integrality usually drags the counts along.
-int MostFractionalVar(const MilpModel& model, std::span<const double> values,
-                      double int_tol) {
+int MostFractionalVar(const MilpModel& model, std::span<const double> values) {
   int best_binary = -1;
-  double best_binary_score = int_tol;
+  double best_binary_score = kIntTol;
   int best_integer = -1;
-  double best_integer_score = int_tol;
+  double best_integer_score = kIntTol;
   for (int v = 0; v < model.num_vars(); ++v) {
     if (!model.IsIntegerLike(v)) {
       continue;
@@ -435,7 +437,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     LpBasis basis;
     const LpBasis* warm = start_basis;
     for (int step = 0; step < 2 * n + 16; ++step) {
-      int v = MostFractionalVar(model_, relax.values, options_.int_tol);
+      int v = MostFractionalVar(model_, relax.values);
       if (v < 0) {
         offer_incumbent(relax.values);
         return;
@@ -536,8 +538,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   final_bound = root.objective;
   LpBasis root_basis = root_lp.BasisSnapshot();
 
-  int root_branch_var =
-      MostFractionalVar(model_, root.values, options_.int_tol);
+  int root_branch_var = MostFractionalVar(model_, root.values);
   if (root_branch_var < 0) {
     offer_incumbent(root.values);
     result.status = MilpStatus::kOptimal;
@@ -548,7 +549,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     finalize_counts();
     return result;
   }
-  if (options_.enable_diving) {
+  {
     TETRI_SPAN("solver.root_dive");
     dive(root_lp, root_lower, root_upper, root, &root_basis);
   }
@@ -672,12 +673,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         node_bound = std::min(node->bound, relax.objective);
         double inc = incumbent_atomic.load(std::memory_order_acquire);
         if (inc == -kInfinity || node_bound > inc + options_.abs_gap) {
-          branch_var = MostFractionalVar(model_, relax.values,
-                                         options_.int_tol);
+          branch_var = MostFractionalVar(model_, relax.values);
           if (branch_var < 0) {
             offer_incumbent(relax.values);
-          } else if (options_.enable_diving &&
-                     node_count % kDiveEvery == 0) {
+          } else if (node_count % kDiveEvery == 0) {
             dive(lp, lower, upper, relax, &last_basis);
             if (!gap_satisfied(node_bound)) {
               make_children = true;

@@ -38,8 +38,6 @@ struct MilpOptions {
   double abs_gap = 1e-6;
   int max_nodes = 20000;
   double time_limit_seconds = 10.0;
-  double int_tol = 1e-6;
-  bool enable_diving = true;     // root diving heuristic for a fast incumbent
   // Stop after this many B&B nodes without incumbent improvement and return
   // the incumbent (status kFeasible). 0 disables. The equivalent of a
   // commercial solver's "solution polishing" abort: on scheduling models the

@@ -15,6 +15,13 @@ namespace {
 // off the per-pivot path).
 constexpr int kCancelPollMask = 15;
 
+// Fixed numerics of the pivot loop.
+constexpr int kMaxIterations = 50000;
+constexpr double kFeasTol = 1e-7;   // bound / constraint feasibility
+constexpr double kCostTol = 1e-7;   // reduced-cost optimality threshold
+constexpr double kPivotTol = 1e-9;  // minimum acceptable pivot magnitude
+constexpr int kRefactorEvery = 150;  // rebuild basis inverse every N pivots
+
 Counter* BlandActivations() {
   static Counter* counter =
       GlobalMetrics().GetCounter("tetrisched_solver_bland_activations_total");
@@ -306,9 +313,9 @@ void LpSolver::BuildPhase1Costs(std::vector<double>& costs) const {
   costs.assign(total_, 0.0);
   for (int i = 0; i < m_; ++i) {
     int v = basic_[i];
-    if (x_[v] < lb_[v] - options_.feas_tol) {
+    if (x_[v] < lb_[v] - kFeasTol) {
       costs[v] = 1.0;  // needs to increase
-    } else if (x_[v] > ub_[v] + options_.feas_tol) {
+    } else if (x_[v] > ub_[v] + kFeasTol) {
       costs[v] = -1.0;  // needs to decrease
     }
   }
@@ -336,7 +343,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
 
     std::span<const double> costs = costs_in;
     if (phase1) {
-      if (TotalInfeasibility() <= options_.feas_tol * (m_ + 1)) {
+      if (TotalInfeasibility() <= kFeasTol * (m_ + 1)) {
         return LpStatus::kOptimal;
       }
       BuildPhase1Costs(phase1_costs);
@@ -368,7 +375,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     was_bland = bland;
     int enter = -1;
     int enter_dir = 0;
-    double best_viol = options_.cost_tol;
+    double best_viol = kCostTol;
     auto price_candidate = [&](int v) {
       if (status_[v] == Status::kBasic) {
         return false;
@@ -381,19 +388,19 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
       double viol = 0.0;
       switch (status_[v]) {
         case Status::kAtLower:
-          if (z > options_.cost_tol) {
+          if (z > kCostTol) {
             dir = 1;
             viol = z;
           }
           break;
         case Status::kAtUpper:
-          if (z < -options_.cost_tol) {
+          if (z < -kCostTol) {
             dir = -1;
             viol = -z;
           }
           break;
         case Status::kFreeZero:
-          if (std::abs(z) > options_.cost_tol) {
+          if (std::abs(z) > kCostTol) {
             dir = z > 0 ? 1 : -1;
             viol = std::abs(z);
           }
@@ -456,7 +463,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     double best_pivot_mag = 0.0;
     for (int i = 0; i < m_; ++i) {
       double delta = enter_dir * w[i];
-      if (std::abs(delta) <= options_.pivot_tol) {
+      if (std::abs(delta) <= kPivotTol) {
         continue;
       }
       int bvar = basic_[i];
@@ -465,7 +472,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
       double u = ub_[bvar];
       double ratio;
       bool to_upper;
-      if (phase1 && xb < l - options_.feas_tol) {
+      if (phase1 && xb < l - kFeasTol) {
         // Infeasible below: blocks only when moving up to its lower bound.
         if (delta < 0.0) {
           ratio = (xb - l) / delta;
@@ -473,7 +480,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
         } else {
           continue;
         }
-      } else if (phase1 && xb > u + options_.feas_tol) {
+      } else if (phase1 && xb > u + kFeasTol) {
         if (delta > 0.0) {
           ratio = (xb - u) / delta;
           to_upper = true;
@@ -525,7 +532,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
         x_[enter] = lb_[enter];
         status_[enter] = Status::kAtLower;
       }
-      degenerate_streak = t <= options_.feas_tol ? degenerate_streak + 1 : 0;
+      degenerate_streak = t <= kFeasTol ? degenerate_streak + 1 : 0;
       continue;
     }
 
@@ -577,8 +584,8 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
       }
     }
 
-    degenerate_streak = t <= options_.feas_tol ? degenerate_streak + 1 : 0;
-    if (++pivots_since_refactor_ >= options_.refactor_every) {
+    degenerate_streak = t <= kFeasTol ? degenerate_streak + 1 : 0;
+    if (++pivots_since_refactor_ >= kRefactorEvery) {
       RefactorizeOrReset();
       RecomputeBasicValues();
     }
@@ -616,32 +623,32 @@ LpResult LpSolver::Solve(std::span<const double> lower,
   RecomputeBasicValues();
 
   LpResult result;
-  int iterations_left = options_.max_iterations;
+  int iterations_left = kMaxIterations;
 
-  if (TotalInfeasibility() > options_.feas_tol * (m_ + 1)) {
+  if (TotalInfeasibility() > kFeasTol * (m_ + 1)) {
     LpStatus phase1 = Iterate({}, /*phase1=*/true, &iterations_left);
     if (phase1 == LpStatus::kIterationLimit) {
       result.status = LpStatus::kIterationLimit;
-      result.iterations = options_.max_iterations;
+      result.iterations = kMaxIterations;
       return result;
     }
     if (phase1 == LpStatus::kCancelled) {
       // Cancelled while still (possibly) infeasible: report the cancellation
       // rather than misclassifying the interrupted state as infeasible.
       result.status = LpStatus::kCancelled;
-      result.iterations = options_.max_iterations - iterations_left;
+      result.iterations = kMaxIterations - iterations_left;
       return result;
     }
-    if (TotalInfeasibility() > options_.feas_tol * (m_ + 1)) {
+    if (TotalInfeasibility() > kFeasTol * (m_ + 1)) {
       result.status = LpStatus::kInfeasible;
-      result.iterations = options_.max_iterations - iterations_left;
+      result.iterations = kMaxIterations - iterations_left;
       return result;
     }
   }
 
   LpStatus phase2 = Iterate(obj_, /*phase1=*/false, &iterations_left);
   result.status = phase2;
-  result.iterations = options_.max_iterations - iterations_left;
+  result.iterations = kMaxIterations - iterations_left;
   if (phase2 != LpStatus::kOptimal && phase2 != LpStatus::kIterationLimit) {
     return result;
   }

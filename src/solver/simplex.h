@@ -41,11 +41,6 @@ enum class LpStatus {
 };
 
 struct LpOptions {
-  int max_iterations = 50000;
-  double feas_tol = 1e-7;   // bound / constraint feasibility
-  double cost_tol = 1e-7;   // reduced-cost optimality threshold
-  double pivot_tol = 1e-9;  // minimum acceptable pivot magnitude
-  int refactor_every = 150;  // rebuild basis inverse every N pivots
   // Consecutive degenerate pivots before pricing falls back to Bland's
   // anti-cycling rule (counted in tetrisched_solver_bland_activations_total).
   // <= 0 engages Bland's rule from the first pivot.

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 
 #include "src/common/budget.h"
 #include "src/common/bytes.h"
 #include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/core/scheduler.h"
+#include "src/persist/persist.h"
 #include "src/solver/certify.h"
 #include "src/solver/milp.h"
 #include "src/solver/simplex.h"
@@ -116,37 +118,41 @@ TEST(DeadlinePoolTest, FloorAppliesWhenExhausted) {
 }
 
 TEST(AimdControllerTest, TrajectoryIsDeterministic) {
-  AimdOptions options;
-  options.shrink_after = 2;
-  options.shrink_factor = 0.5;
-  options.restore_after = 2;
-  options.restore_step = 0.25;
-  options.min_level = 0.0;
-  AimdController aimd(options);
+  AimdController aimd;
+  // Feeds `n` identical observations; returns the last one's adaptation.
+  auto observe = [&aimd](bool blown, int n) {
+    int adapted = 0;
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(adapted, 0) << "adapted before the streak was complete";
+      adapted = aimd.Observe(blown);
+    }
+    return adapted;
+  };
 
-  // Two blown cycles -> one shrink (streak resets on adaptation).
-  EXPECT_EQ(aimd.Observe(true), 0);
-  EXPECT_EQ(aimd.Observe(true), -1);
-  EXPECT_DOUBLE_EQ(aimd.level(), 0.5);
-  EXPECT_EQ(aimd.Observe(true), 0);
-  EXPECT_EQ(aimd.Observe(true), -1);
+  // kShrinkAfter blown cycles -> one shrink (the streak resets on it).
+  EXPECT_EQ(observe(true, AimdController::kShrinkAfter), -1);
+  EXPECT_DOUBLE_EQ(aimd.level(), AimdController::kShrinkFactor);
+  EXPECT_EQ(observe(true, AimdController::kShrinkAfter), -1);
   EXPECT_DOUBLE_EQ(aimd.level(), 0.25);
-  // Healthy cycles restore additively.
-  EXPECT_EQ(aimd.Observe(false), 0);
-  EXPECT_EQ(aimd.Observe(false), 1);
-  EXPECT_DOUBLE_EQ(aimd.level(), 0.5);
-  EXPECT_EQ(aimd.Observe(false), 0);
-  EXPECT_EQ(aimd.Observe(false), 1);
-  EXPECT_DOUBLE_EQ(aimd.level(), 0.75);
-  // A blown cycle resets the healthy streak.
-  EXPECT_EQ(aimd.Observe(false), 0);
+  // kRestoreAfter healthy cycles restore one additive step.
+  EXPECT_EQ(observe(false, AimdController::kRestoreAfter), 1);
+  EXPECT_DOUBLE_EQ(aimd.level(), 0.25 + AimdController::kRestoreStep);
+  // A blown cycle resets the healthy streak...
+  EXPECT_EQ(observe(false, AimdController::kRestoreAfter - 1), 0);
   EXPECT_EQ(aimd.Observe(true), 0);
+  EXPECT_EQ(observe(false, AimdController::kRestoreAfter - 1), 0);
+  // ...and a healthy cycle resets the blown streak.
+  EXPECT_EQ(observe(true, AimdController::kShrinkAfter - 1), 0);
   EXPECT_EQ(aimd.Observe(false), 0);
-  EXPECT_EQ(aimd.Observe(false), 1);
+  EXPECT_EQ(observe(true, AimdController::kShrinkAfter - 1), 0);
+  EXPECT_DOUBLE_EQ(aimd.level(), 0.375);
+  // Restores step up to 1 and stop there.
+  for (double level = 0.5; level <= 1.0; level += 0.125) {
+    EXPECT_EQ(observe(false, AimdController::kRestoreAfter), 1);
+    EXPECT_DOUBLE_EQ(aimd.level(), level);
+  }
   EXPECT_DOUBLE_EQ(aimd.level(), 1.0);
-  // Saturated at 1: healthy cycles are no-ops.
-  EXPECT_EQ(aimd.Observe(false), 0);
-  EXPECT_EQ(aimd.Observe(false), 0);
+  EXPECT_EQ(observe(false, 2 * AimdController::kRestoreAfter), 0);
   EXPECT_DOUBLE_EQ(aimd.level(), 1.0);
 }
 
@@ -339,48 +345,88 @@ Job MakeJob(JobId id, int k, SimDuration runtime, SimTime deadline) {
   return job;
 }
 
-TEST(SchedulerBudgetTest, BlownBudgetShrinksPlanAheadAndRoundTrips) {
-  Cluster cluster = MakeUniformCluster(2, 4, 1);
+// A budget no real cycle can meet: every cycle observes blown.
+TetriSchedConfig BlownBudgetConfig() {
   TetriSchedConfig config;
   config.plan_ahead = 96;
   config.quantum = 8;
-  // A budget no real cycle can meet: every cycle observes blown and the
-  // controller shrinks after each pair of them.
   config.budget.budget_seconds = 1e-9;
-  config.budget.aimd.shrink_after = 2;
+  return config;
+}
+
+TEST(SchedulerBudgetTest, BlownBudgetHalvesPlanAheadAndRoundTrips) {
+  Cluster cluster = MakeUniformCluster(2, 4, 1);
+  TetriSchedConfig config = BlownBudgetConfig();
   TetriScheduler scheduler(cluster, config);
   EXPECT_EQ(scheduler.effective_plan_ahead(), config.plan_ahead);
 
   Job job = MakeJob(1, 3, 60, 100000);
   std::vector<const Job*> pending{&job};
-  int adaptations = 0;
-  for (int cycle = 0; cycle < 6; ++cycle) {
+  for (int cycle = 1; cycle <= AimdController::kShrinkAfter; ++cycle) {
     auto decision = scheduler.OnCycle(cycle * 4, pending, {});
+    // Every cycle blows the budget, so the solve gets no time: the cycle
+    // takes the greedy rung, which still places the job.
     EXPECT_TRUE(decision.stats.budget_blown);
     EXPECT_DOUBLE_EQ(decision.stats.budget_seconds, 1e-9);
-    if (decision.stats.plan_ahead_adapted != 0) {
-      ++adaptations;
-      EXPECT_EQ(decision.stats.plan_ahead_adapted, -1);
-    }
+    EXPECT_EQ(decision.stats.ladder_rung, 1);
+    ASSERT_EQ(decision.start_now.size(), 1u);
+    EXPECT_EQ(decision.start_now[0].job, job.id);
+    // The window halves after the kShrinkAfter-th blown cycle, not before.
+    const bool shrinks = cycle == AimdController::kShrinkAfter;
+    EXPECT_EQ(decision.stats.plan_ahead_adapted, shrinks ? -1 : 0);
+    EXPECT_EQ(scheduler.effective_plan_ahead(),
+              shrinks ? config.plan_ahead / 2 : config.plan_ahead);
   }
-  EXPECT_GE(adaptations, 2);
-  EXPECT_LT(scheduler.effective_plan_ahead(), config.plan_ahead);
-  EXPECT_LT(scheduler.aimd().level(), 1.0);
-  // Shrunk windows stay quantum-aligned and at least one quantum wide (NP).
-  EXPECT_GE(scheduler.effective_plan_ahead(), config.quantum);
+  EXPECT_DOUBLE_EQ(scheduler.aimd().level(), AimdController::kShrinkFactor);
   EXPECT_EQ(scheduler.effective_plan_ahead() % config.quantum, 0);
 
   // Crash round-trip: a fresh scheduler importing the blob resumes on the
   // adapted trajectory, not the configured defaults.
-  std::string blob = scheduler.ExportDurableState();
   TetriScheduler recovered(cluster, config);
-  recovered.ImportDurableState(blob);
+  recovered.ImportDurableState(scheduler.ExportDurableState());
   EXPECT_DOUBLE_EQ(recovered.aimd().level(), scheduler.aimd().level());
   EXPECT_EQ(recovered.aimd().blown_streak(), scheduler.aimd().blown_streak());
   EXPECT_EQ(recovered.effective_plan_ahead(),
             scheduler.effective_plan_ahead());
   EXPECT_DOUBLE_EQ(recovered.effective_rel_gap(),
                    scheduler.effective_rel_gap());
+}
+
+TEST(SchedulerBudgetTest, OlderJournalWithAdaptRecordRecoversLevel) {
+  // Journals written before kPlanAheadAdapt was retired hold one such record
+  // per adaptation next to the AIMD-suffixed kCommitApplied blob. Replay
+  // must skip the former and recover level and window from the latter.
+  Cluster cluster = MakeUniformCluster(2, 4, 1);
+  TetriSchedConfig config = BlownBudgetConfig();
+  TetriScheduler scheduler(cluster, config);
+  Job job = MakeJob(1, 3, 60, 100000);
+  std::vector<const Job*> pending{&job};
+  for (int cycle = 1; cycle <= AimdController::kShrinkAfter; ++cycle) {
+    scheduler.OnCycle(cycle * 4, pending, {});
+  }
+  ASSERT_LT(scheduler.effective_plan_ahead(), config.plan_ahead);
+
+  PersistenceManager persist(std::make_unique<MemoryJournalStorage>());
+  DurableEvent adapt;
+  adapt.kind = DurableEventKind::kPlanAheadAdapt;
+  adapt.time = 8;
+  adapt.k = -1;
+  adapt.runtime = scheduler.effective_plan_ahead();
+  persist.Append(adapt);
+  DurableEvent applied;
+  applied.kind = DurableEventKind::kCommitApplied;
+  applied.time = 8;
+  applied.blob = scheduler.ExportDurableState();
+  persist.Append(applied);
+
+  RecoveryResult result = persist.Recover();
+  EXPECT_EQ(result.replayed, 2);
+  EXPECT_EQ(result.dropped + result.undecodable, 0);
+  TetriScheduler recovered(cluster, config);
+  recovered.ImportDurableState(result.state.policy_state);
+  EXPECT_DOUBLE_EQ(recovered.aimd().level(), scheduler.aimd().level());
+  EXPECT_EQ(recovered.effective_plan_ahead(),
+            scheduler.effective_plan_ahead());
 }
 
 TEST(SchedulerBudgetTest, PreBudgetBlobStillImports) {
@@ -410,11 +456,10 @@ TEST(SchedulerBudgetTest, ZeroBudgetKeepsSubsystemInert) {
 }
 
 TEST(SchedulerBudgetTest, CertifierLeavesHealthyPlansUntouched) {
-  // certify_plans defaults on; a healthy cycle must still schedule and
+  // The certifier always runs; a healthy cycle must still schedule and
   // report zero rejects.
   Cluster cluster = MakeUniformCluster(2, 4, 1);
   TetriScheduler scheduler(cluster, TetriSchedConfig::Full());
-  ASSERT_TRUE(scheduler.config().certify_plans);
   Job job = MakeJob(1, 3, 60, 100000);
   std::vector<const Job*> pending{&job};
   auto decision = scheduler.OnCycle(0, pending, {});

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -269,6 +270,56 @@ TEST(SpanTest, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"dur\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\""), std::string::npos);
   SpanCollector::Global().Clear();
+}
+
+// One measurement per phase: the span a scheduler phase records and the
+// CycleStats seconds it reports come from the same two clock readings, so
+// they agree to within the span's microsecond rounding.
+TEST(SpanTest, SchedulerPhaseSpansMatchCycleStats) {
+  ObservabilityGuard guard;
+  Cluster cluster = MakeUniformCluster(2, 4, 1);
+  Job job;
+  job.id = 1;
+  job.type = JobType::kUnconstrained;
+  job.k = 3;
+  job.actual_runtime = 60;
+  job.slowdown = 1.0;
+  std::vector<const Job*> pending{&job};
+  for (const TetriSchedConfig& config :
+       {TetriSchedConfig::Full(), TetriSchedConfig::NoGlobal()}) {
+    TetriScheduler scheduler(cluster, config);
+    SetObservabilityEnabled(true);
+    SpanCollector::Global().Clear();
+    SchedulerPolicy::Decision decision = scheduler.OnCycle(0, pending, {});
+    SetObservabilityEnabled(false);
+    ASSERT_EQ(decision.start_now.size(), 1u) << scheduler.name();
+    std::vector<SpanRecord> spans = SpanCollector::Global().Snapshot();
+    SpanCollector::Global().Clear();
+
+    const struct {
+      const char* name;
+      double seconds;
+    } phases[] = {
+        {"scheduler.cycle", decision.stats.cycle_seconds},
+        {"scheduler.strl_gen", decision.stats.strl_gen_seconds},
+        {"scheduler.compile", decision.stats.compile_seconds},
+        {"scheduler.commit", decision.stats.commit_seconds},
+    };
+    for (const auto& phase : phases) {
+      int count = 0;
+      double span_seconds = 0.0;
+      for (const SpanRecord& span : spans) {
+        if (std::string_view(span.name) == phase.name) {
+          ++count;
+          span_seconds = 1e-6 * static_cast<double>(span.duration_us);
+        }
+      }
+      EXPECT_EQ(count, 1) << scheduler.name() << " " << phase.name;
+      EXPECT_GT(phase.seconds, 0.0) << scheduler.name() << " " << phase.name;
+      EXPECT_NEAR(span_seconds, phase.seconds, 1e-6)
+          << scheduler.name() << " " << phase.name;
+    }
+  }
 }
 
 TEST(SolverObservabilityTest, SolvePopulatesPhaseInstruments) {

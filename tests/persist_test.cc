@@ -249,7 +249,13 @@ TEST(RayonStateTest, RestoreOfExportIsExactNoOp) {
   live.Submit({3, 8, 50, 0, 60});  // may reject: counters must round-trip too
   RayonState exported = live.ExportState();
 
-  RayonAdmission restored(0);
+  // Capacity is the cluster's, not durable state: a restore keeps the
+  // restoring object's own, even from an image that carries none.
+  RayonAdmission empty_image(8);
+  empty_image.Restore(RayonState{});
+  EXPECT_EQ(empty_image.capacity(), 8);
+
+  RayonAdmission restored(8);
   restored.Restore(exported);
   EXPECT_EQ(restored.ExportState(), exported);
   // Both must make identical future decisions.

@@ -352,6 +352,31 @@ TEST(ServiceEndToEndTest, JournalAcceptsNewWorkAfterRestart) {
   }
 }
 
+// A daemon started on empty journal storage recovers an empty image; its
+// Rayon admission must keep the cluster's capacity and accept reservations.
+TEST(ServiceEndToEndTest, FreshJournalDaemonAcceptsReservations) {
+  MemoryJournalStorage storage;
+  DaemonOptions options = FastOptions();
+  options.storage = &storage;
+  DaemonHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("reserve");
+  JsonObj spec = SmallJob(/*runtime=*/8);
+  spec.Field("reservation", true);
+  spec.Field("deadline_in", static_cast<int64_t>(400));
+  ServiceReply submit = client.SubmitSpec(spec);
+  ASSERT_TRUE(submit.ok) << submit.error;
+  int64_t job = submit.body.IntOr("job", -1);
+  ASSERT_GT(job, 0);
+  // Admission (and with it the Rayon decision) happens on a cycle.
+  ASSERT_TRUE(harness.WaitFor(
+      [](const DaemonStatus& status) { return status.completed >= 1; }));
+  ServiceReply status = client.StatusOf(job);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(status.body.StringOr("slo_class", ""), "slo-accepted");
+  harness.Stop();
+}
+
 // STRL text submissions round-trip through the parser and schedule.
 TEST(ServiceEndToEndTest, StrlSubmissionSchedules) {
   DaemonHarness harness(FastOptions());
