@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <string>
 
 #include "bench/bench_json.h"
 #include "src/cluster/availability.h"
@@ -145,28 +144,6 @@ void BM_MilpSolveWarmStarted(benchmark::State& state) {
 }
 BENCHMARK(BM_MilpSolveWarmStarted)->Unit(benchmark::kMillisecond);
 
-void BM_MilpSolveThreads(benchmark::State& state) {
-  // 1-thread vs N-thread full solve of the same model: the parallel
-  // branch-and-bound scaling case.
-  Cluster cluster = MakeUniformCluster(4, 4, 2);
-  StrlGenerator gen(cluster, {.plan_ahead = 96, .quantum = 8});
-  std::vector<Job> jobs = MakeQueue(8);
-  OptionRegistry registry;
-  StrlExpr root = BuildAggregate(cluster, gen, jobs, &registry);
-  TimeGrid grid{.start = 0, .quantum = 8, .num_slices = 12};
-  AvailabilityGrid avail(cluster, grid);
-  CompiledStrl compiled = StrlCompiler(avail).Compile(root);
-  MilpOptions options;
-  options.time_limit_seconds = 10.0;
-  options.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    MilpResult result = MilpSolver(compiled.model(), options).Solve();
-    benchmark::DoNotOptimize(result.objective);
-  }
-}
-BENCHMARK(BM_MilpSolveThreads)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_MilpSolveDecomposition(benchmark::State& state) {
   // Block-diagonal solve with the decomposition layer on (arg = 1) vs the
   // monolithic baseline (arg = 0), same model and same 10% gap.
@@ -244,8 +221,8 @@ void BM_ScopedSpanEnabled(benchmark::State& state) {
 BENCHMARK(BM_ScopedSpanEnabled);
 
 // The machine-readable solver record (satisfies a fixed op-name schema so the
-// perf trajectory can be tracked across commits): LP relaxation plus full
-// MILP solves at 1/2/4 workers, all solved to the same default 10% gap.
+// perf trajectory can be tracked across commits): LP relaxation plus a full
+// MILP solve at the default 10% gap.
 // Emitted only when TETRISCHED_BENCH_JSON is set; see bench/bench_json.h.
 void EmitBenchJson() {
   if (!BenchJsonWriter::Requested()) {
@@ -272,18 +249,15 @@ void EmitBenchJson() {
                {{"lp_iterations", static_cast<double>(lp_result.iterations)},
                 {"objective", lp_result.objective}});
   }
-  for (int threads : {1, 2, 4}) {
-    // Generous time budget so every run terminates at the same (default 10%)
-    // gap and wall-clock differences come from the search, not the clock.
+  {
+    // Generous time budget so the run terminates at the default 10% gap and
+    // its wall-clock comes from the search, not the clock.
     MilpOptions options;
     options.time_limit_seconds = 60.0;
-    options.num_threads = threads;
     MilpResult result = MilpSolver(compiled.model(), options).Solve();
-    writer.Add("milp_full_solve_threads" + std::to_string(threads),
-               result.solve_seconds * 1e3,
+    writer.Add("milp_full_solve", result.solve_seconds * 1e3,
                {{"nodes", static_cast<double>(result.nodes)},
                 {"lp_iterations", static_cast<double>(result.lp_iterations)},
-                {"threads", static_cast<double>(result.threads_used)},
                 {"objective", result.objective},
                 {"best_bound", result.best_bound},
                 {"components", static_cast<double>(result.components)},
@@ -291,7 +265,7 @@ void EmitBenchJson() {
   }
 
   // Decomposition on/off on a block-diagonal model (same instance, same 10%
-  // gap, one worker): the cycle-time breakdown rows — components found,
+  // gap, one thread): the cycle-time breakdown rows — components found,
   // time spent splitting, the slowest component — plus the wall-clock and
   // node-count delta of solving the blocks independently.
   {

@@ -1,8 +1,8 @@
 // Fixed-size pool of worker threads draining a FIFO task queue.
 //
-// The parallel branch-and-bound solver (src/solver/milp.cc) submits one
-// long-running search loop per worker; any other subsystem may submit short
-// tasks the same way. Wait() blocks until every submitted task has finished,
+// The solver's decomposition layer (src/solver/decompose.cc) submits one
+// task per independent component; any other subsystem may submit tasks the
+// same way. Wait() blocks until every submitted task has finished,
 // so one pool can be reused across submission rounds. The destructor drains
 // remaining tasks before joining.
 

@@ -1,6 +1,5 @@
 #include "src/rayon/rayon.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace tetrisched {
@@ -61,33 +60,29 @@ ReservationDecision RayonAdmission::Submit(const RdlRequest& request) {
     return decision;
   }
 
-  // Candidate starts: the window start plus every agenda step point inside
-  // the window (capacity only changes there, so earliest-fit needs nothing
-  // else).
-  SimTime latest_start = request.window_end - request.duration;
-  std::vector<SimTime> candidates{request.window_start};
-  for (const auto& [time, delta] : deltas_) {
-    if (time > request.window_start && time <= latest_start) {
-      candidates.push_back(time);
-    }
+  // Earliest fit in one forward pass. Capacity only changes at agenda step
+  // points, so the candidate starts are the window start and the step points
+  // inside the window. `level` is the committed capacity just after the step
+  // last applied. When a step inside [start, start + duration) leaves too
+  // little room, every candidate up to that step also covers it, so the next
+  // candidate is the step point after it.
+  const int max_level = capacity_ - request.k;  // most the request fits beside
+  const SimTime latest_start = request.window_end - request.duration;
+  auto it = deltas_.begin();
+  int level = 0;
+  for (; it != deltas_.end() && it->first <= request.window_start; ++it) {
+    level += it->second;
   }
-
-  for (SimTime start : candidates) {
-    SimTime end = start + request.duration;
-    // Max committed capacity over [start, end).
-    int committed = 0;
-    int peak = 0;
-    for (const auto& [time, delta] : deltas_) {
-      if (time >= end) {
+  SimTime start = request.window_start;
+  while (true) {
+    if (level > max_level) {
+      if (it == deltas_.end() || it->first > latest_start) {
         break;
       }
-      committed += delta;
-      if (time >= start) {
-        peak = std::max(peak, committed);
-      }
-    }
-    peak = std::max(peak, CommittedAt(start));
-    if (peak + request.k <= capacity_) {
+      start = it->first;
+    } else if (it == deltas_.end() ||
+               it->first >= start + request.duration) {
+      const SimTime end = start + request.duration;
       deltas_[start] += request.k;
       deltas_[end] -= request.k;
       ++num_accepted_;
@@ -95,6 +90,8 @@ ReservationDecision RayonAdmission::Submit(const RdlRequest& request) {
       decision.interval = {start, end};
       return decision;
     }
+    level += it->second;
+    ++it;
   }
 
   ++num_rejected_;

@@ -3,8 +3,8 @@
 // Re-checks a solver incumbent against the *original pre-presolve* model: a
 // cheap correctness oracle (one pass over the model) that is independent of
 // every transformation the solve pipeline applied — presolve substitutions,
-// component decomposition and stitching, warm-start projection, parallel
-// incumbent races, and mid-LP cancellation. The scheduler runs it as part of
+// component decomposition and stitching, warm-start projection, and mid-LP
+// cancellation. The scheduler runs it as part of
 // the pre-commit ValidatePlan gate: a rejected incumbent is treated like a
 // solver failure and drops the cycle down the degradation ladder instead of
 // committing a corrupt plan.

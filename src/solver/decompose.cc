@@ -220,7 +220,6 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
   for (int comp = 0; comp < k; ++comp) {
     total_vars += decomp.component_vars[comp];
   }
-  const int inner_threads = std::max(1, num_workers / k);
   for (int comp = 0; comp < k; ++comp) {
     Component& component = components[comp];
     const double share =
@@ -230,7 +229,6 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     // Presolve already ran to fixpoint on the full model; its reductions are
     // row-local, so re-running it per component would find nothing.
     inner.enable_presolve = false;
-    inner.num_threads = inner_threads;
     // time_limit_seconds is acquired from the pool at component start; the
     // parent's composed CancelToken (inner.cancel, when set) stays the hard
     // cap either way.
@@ -253,9 +251,8 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
   const double extract_ms = MillisSince(extract_start);
 
   // ---- Concurrent component solves. Each task touches only its own slot,
-  // and each component solve is single-threaded whenever the worker count
-  // does not exceed the component count — in that case the whole decomposed
-  // solve is deterministic regardless of pool interleaving. ----------------
+  // and each component's search is single-threaded, so the decomposed solve
+  // is deterministic regardless of pool interleaving. ---------------------
   // Wall-clock pool over the solve budget: a component's slice is computed
   // when it *starts*, from the time then remaining and the weight still
   // outstanding, so early finishers' unused time flows to later components
@@ -296,7 +293,6 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
 
   // ---- Stitching. --------------------------------------------------------
   MilpResult merged;
-  merged.threads_used = num_workers;
   merged.components = k;
   merged.decompose_ms = detect_ms + extract_ms;
   for (const Component& component : components) {

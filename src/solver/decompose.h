@@ -5,9 +5,10 @@
 // rows: whenever jobs prefer disjoint equivalence sets or non-overlapping
 // plan-ahead slots, the compiled model is block-diagonal. Solving k
 // independent sub-MILPs is exponentially cheaper than one monolithic branch
-// and bound over their union, and the component solves parallelize on the
-// existing thread pool independently of (and multiplicatively with) the
-// per-solve worker count of DESIGN.md §8.
+// and bound over their union, and the component solves run side by side on
+// a thread pool of MilpOptions::num_threads threads. Each component search
+// is single-threaded (DESIGN.md §8), so the stitched result does not depend
+// on how the pool interleaves them.
 //
 // The layer has three stages, all exact:
 //   1. DetectComponents: union-find over the variable-constraint incidence

@@ -1,21 +1,16 @@
 #include "src/solver/milp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/span.h"
-#include "src/common/thread_pool.h"
 #include "src/solver/decompose.h"
 #include "src/solver/presolve.h"
 
@@ -29,14 +24,12 @@ constexpr double kIntTol = 1e-6;
 
 // Registry-backed solver instruments (DESIGN.md §10). The phase histograms
 // attribute each solve's wall-clock to presolve / LP pricing / B&B search;
-// the counters aggregate work done by all branch-and-bound workers. Only
-// per-LP-call timing and queue-wait timing read a clock on the hot path, and
-// both are gated by ObservabilityEnabled().
+// the counters aggregate the search's work. Only per-LP-call timing reads a
+// clock on the hot path, and it is gated by ObservabilityEnabled().
 struct SolverInstruments {
   Histogram* presolve_ms;
   Histogram* lp_ms;                 // per-LP-call latency (root + nodes)
-  Histogram* branch_and_bound_ms;   // worker-section wall-clock per solve
-  Histogram* queue_wait_ms;         // per queue_cv wait episode (enabled only)
+  Histogram* branch_and_bound_ms;   // search wall-clock per solve
   Histogram* decompose_ms;          // detection (+ extraction) per solve
   Histogram* components;            // components per decomposition-checked solve
   Histogram* largest_component_vars;
@@ -44,7 +37,6 @@ struct SolverInstruments {
   Counter* nodes;
   Counter* lp_iterations;
   Counter* incumbent_improvements;
-  Counter* queue_waits;
   Counter* presolve_fixed_vars;
   Counter* presolve_dropped_rows;
 };
@@ -63,7 +55,6 @@ SolverInstruments& Instruments() {
       registry.GetHistogram("tetrisched_phase_presolve_ms"),
       registry.GetHistogram("tetrisched_phase_lp_ms"),
       registry.GetHistogram("tetrisched_phase_branch_and_bound_ms"),
-      registry.GetHistogram("tetrisched_solver_queue_wait_ms"),
       registry.GetHistogram("tetrisched_phase_decompose_ms"),
       registry.GetHistogram("tetrisched_solver_components", CountBuckets()),
       registry.GetHistogram("tetrisched_solver_largest_component_vars",
@@ -72,7 +63,6 @@ SolverInstruments& Instruments() {
       registry.GetCounter("tetrisched_solver_nodes_total"),
       registry.GetCounter("tetrisched_solver_lp_iterations_total"),
       registry.GetCounter("tetrisched_solver_incumbent_improvements_total"),
-      registry.GetCounter("tetrisched_solver_queue_waits_total"),
       registry.GetCounter("tetrisched_solver_presolve_fixed_vars_total"),
       registry.GetCounter("tetrisched_solver_presolve_dropped_rows_total"),
   };
@@ -198,10 +188,6 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     return lp_result;
   };
 
-  const int num_workers =
-      std::max(1, options_.num_threads > 0 ? options_.num_threads
-                                           : ThreadPool::HardwareThreads());
-
   // A non-positive budget means "no solve attempt": report no-incumbent
   // explicitly so callers exercise their degradation path instead of
   // misreading a trivially empty plan as a decision.
@@ -209,14 +195,13 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     MilpResult result;
     result.status = MilpStatus::kNoSolution;
     result.solve_status = SolveStatus::kNoIncumbent;
-    result.threads_used = num_workers;
     result.solve_seconds = elapsed();
     return result;
   }
 
   // Hard deadline for this solve: the internal wall-clock limit composed
   // with any external token (earliest wins). Threaded through every LP solve
-  // below — root, workers, diving, presolve recursion, decomposed components
+  // below — root, nodes, diving, presolve recursion, decomposed components
   // — so expiry is honored inside a pivot loop, not just at node boundaries.
   CancelToken deadline;
   deadline.ArmAfterSeconds(options_.time_limit_seconds);
@@ -240,7 +225,6 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       ins.presolve_ms->Observe(millis_since(presolve_start));
       MilpResult result;
       result.status = MilpStatus::kInfeasible;
-      result.threads_used = num_workers;
       result.solve_seconds = elapsed();
       return result;
     }
@@ -306,7 +290,6 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   }
 
   MilpResult result;
-  result.threads_used = num_workers;
   const int n = model_.num_vars();
 
   // Covers tableau construction and incumbent seeding (the work between
@@ -325,44 +308,22 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     root_upper[v] = model_.upper_bound(v);
   }
 
-  // ---- State shared between workers -------------------------------------
-  //
-  // Two locks, never held together:
-  //  * queue_mu guards the open-node queue, the bounds of in-flight nodes,
-  //    the sequence counter, and the termination flags;
-  //  * incumbent_mu guards the incumbent vector/objective. The incumbent
-  //    objective is mirrored in an atomic so the hot bound-pruning test in
-  //    every worker never takes a lock.
-  // Counters (nodes, LP iterations, stall) are plain atomics.
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
   NodeQueue open;
-  std::multiset<double> expanding_bounds;  // bounds of nodes being expanded
   uint64_t next_seq = 0;
-  bool done = false;
-  bool limits_hit = false;
-  bool stall_hit = false;  // limits_hit specifically via stall_node_limit
-  bool found_unbounded = false;
-  double final_bound = 0.0;  // last global bound observed at a pop
-
-  std::mutex incumbent_mu;
   bool have_incumbent = false;
   double incumbent_obj = -kInfinity;
   std::vector<double> incumbent;
-  // Mirror of incumbent_obj; -kInfinity means "no incumbent yet".
-  std::atomic<double> incumbent_atomic{-kInfinity};
   // True once a warm start or the search itself supplied the incumbent;
   // stays false while only the trivial all-zero fallback is held, which is
   // what distinguishes kTimeLimit/kStall from kNoIncumbent.
-  std::atomic<bool> real_incumbent{false};
-
-  std::atomic<int> nodes{0};
-  std::atomic<long> lp_iterations{0};
-  std::atomic<int> nodes_since_improvement{0};
+  bool real_incumbent = false;
+  int nodes = 0;
+  long lp_iterations = 0;
+  int nodes_since_improvement = 0;
 
   auto finalize_counts = [&]() {
-    result.nodes = nodes.load(std::memory_order_relaxed);
-    result.lp_iterations = lp_iterations.load(std::memory_order_relaxed);
+    result.nodes = nodes;
+    result.lp_iterations = lp_iterations;
     result.solve_seconds = elapsed();
     // Flush this solve's totals into the process-wide registry. The
     // presolve-recursion path never reaches here in the outer frame, so the
@@ -376,24 +337,19 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
                              bool from_search = true) {
     std::vector<double> rounded = RoundedCopy(model_, values);
     if (!model_.IsFeasible(rounded, 1e-5)) {
-      return false;
+      return;
     }
     double obj = model_.ObjectiveValue(rounded);
-    std::lock_guard<std::mutex> lock(incumbent_mu);
     if (!have_incumbent || obj > incumbent_obj) {
       // Any strict improvement resets the stall counter, including the very
       // first incumbent (the zero-clamped fallback or a warm start).
       ins.incumbent_improvements->Increment();
-      nodes_since_improvement.store(0, std::memory_order_relaxed);
+      nodes_since_improvement = 0;
       incumbent = std::move(rounded);
       incumbent_obj = obj;
       have_incumbent = true;
-      incumbent_atomic.store(obj, std::memory_order_release);
-      if (from_search) {
-        real_incumbent.store(true, std::memory_order_relaxed);
-      }
+      real_incumbent = real_incumbent || from_search;
     }
-    return true;
   };
 
   // Caller-provided warm start (e.g. last cycle's plan), checked first.
@@ -412,22 +368,20 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   }
 
   auto gap_satisfied = [&](double bound) {
-    double inc = incumbent_atomic.load(std::memory_order_acquire);
-    if (inc == -kInfinity) {
+    if (!have_incumbent) {
       return false;
     }
-    double gap = bound - inc;
+    double gap = bound - incumbent_obj;
     if (gap <= options_.abs_gap) {
       return true;
     }
-    return gap <= options_.rel_gap * std::max(std::abs(inc), 1e-9);
+    return gap <= options_.rel_gap * std::max(std::abs(incumbent_obj), 1e-9);
   };
 
   // Diving heuristic: from a fractional LP point, repeatedly fix the most
   // fractional integer to a rounding (trying the nearer side first, the
   // other side on infeasibility) until integral. Cheap and effective on
   // packing structures; used at the root and periodically during the search.
-  // `lp` is the calling worker's private solver.
   auto dive = [&](LpSolver& lp, const std::vector<double>& from_lower,
                   const std::vector<double>& from_upper, LpResult start_relax,
                   const LpBasis* start_basis) {
@@ -452,7 +406,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       dive_lower[v] = near;
       dive_upper[v] = near;
       LpResult next = timed_lp(lp, dive_lower, dive_upper, warm);
-      lp_iterations.fetch_add(next.iterations, std::memory_order_relaxed);
+      lp_iterations += next.iterations;
       if (next.status == LpStatus::kCancelled) {
         return;  // deadline expired mid-dive; keep whatever incumbent exists
       }
@@ -460,7 +414,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         dive_lower[v] = far;
         dive_upper[v] = far;
         next = timed_lp(lp, dive_lower, dive_upper, warm);
-        lp_iterations.fetch_add(next.iterations, std::memory_order_relaxed);
+        lp_iterations += next.iterations;
       }
       if (next.status != LpStatus::kOptimal) {
         // Both roundings failed: release the variable and stop diving.
@@ -485,13 +439,12 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   std::optional<ScopedSpan> root_span;
   root_span.emplace("solver.root");
 
-  // Root relaxation (always on the calling thread).
   LpResult root = [&] {
     TETRI_SPAN("solver.root_lp");
     return timed_lp(root_lp, root_lower, root_upper, nullptr);
   }();
-  lp_iterations.fetch_add(root.iterations, std::memory_order_relaxed);
-  nodes.store(1, std::memory_order_relaxed);
+  lp_iterations += root.iterations;
+  nodes = 1;
   if (root.status == LpStatus::kInfeasible) {
     result.status =
         have_incumbent ? MilpStatus::kFeasible : MilpStatus::kInfeasible;
@@ -500,9 +453,8 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       result.values = incumbent;
       result.best_bound = incumbent_obj;
       // The incumbent (warm start or zero plan) is all the search will get.
-      result.solve_status = real_incumbent.load(std::memory_order_relaxed)
-                                ? SolveStatus::kOptimal
-                                : SolveStatus::kNoIncumbent;
+      result.solve_status = real_incumbent ? SolveStatus::kOptimal
+                                           : SolveStatus::kNoIncumbent;
     }
     finalize_counts();
     return result;
@@ -521,9 +473,8 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       result.objective = incumbent_obj;
       result.values = incumbent;
       result.best_bound = kInfinity;
-      result.solve_status = real_incumbent.load(std::memory_order_relaxed)
-                                ? SolveStatus::kTimeLimit
-                                : SolveStatus::kNoIncumbent;
+      result.solve_status = real_incumbent ? SolveStatus::kTimeLimit
+                                           : SolveStatus::kNoIncumbent;
     } else {
       result.status = MilpStatus::kNoSolution;
       result.solve_status = SolveStatus::kNoIncumbent;
@@ -531,15 +482,15 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     finalize_counts();
     return result;
   }
-  if (root.status == LpStatus::kIterationLimit) {
-    TETRI_LOG(kWarning) << "LP iteration limit at root; bound may be loose";
-  }
 
-  final_bound = root.objective;
   LpBasis root_basis = root_lp.BasisSnapshot();
-
-  int root_branch_var = MostFractionalVar(model_, root.values);
-  if (root_branch_var < 0) {
+  // An LP stopped at the iteration limit bounds nothing (and, stopped in
+  // phase 1, holds no point to dive from): the root enters the search with
+  // an infinite bound, and its re-solve there decides.
+  const bool root_solved = root.status == LpStatus::kOptimal;
+  if (!root_solved) {
+    TETRI_LOG(kWarning) << "LP iteration limit at root; no root bound";
+  } else if (MostFractionalVar(model_, root.values) < 0) {
     offer_incumbent(root.values);
     result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
@@ -548,195 +499,127 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     result.best_bound = root.objective;
     finalize_counts();
     return result;
-  }
-  {
+  } else {
     TETRI_SPAN("solver.root_dive");
     dive(root_lp, root_lower, root_upper, root, &root_basis);
   }
 
   {
     auto node = std::make_shared<Node>();
-    node->bound = root.objective;
+    node->bound = root_solved ? root.objective : kInfinity;
     node->seq = next_seq++;
     open.push(std::move(node));
   }
 
   constexpr int kDiveEvery = 64;
 
-  // Best-bound branch and bound over the shared queue. Each worker owns its
-  // LpSolver (and with it the warm-start basis of the last node it solved);
-  // everything else it touches is the shared state above.
-  auto worker = [&](int /*worker_id*/) {
+  // Largest bound of a node dropped without closing its subtree: its LP was
+  // cancelled or stopped at the iteration limit, or a dive from it met the
+  // gap. It caps the optimum just as an open node does, so every bound test
+  // below includes it.
+  double lost_bound = -kInfinity;
+  auto open_bound = [&] {
+    return open.empty() ? lost_bound
+                        : std::max(lost_bound, open.top()->bound);
+  };
+  bool limits_hit = false;
+  bool stall_hit = false;  // limits_hit specifically via stall_node_limit
+  bool found_unbounded = false;
+
+  root_span.reset();
+
+  // Best-bound branch and bound on the calling thread, so node order, node
+  // counts and the result depend on the model and the options alone, unless
+  // the wall-clock limit cuts the search. `lp` carries the warm-start basis
+  // of the last node it solved.
+  {
+    TETRI_SPAN("solver.branch_and_bound");
+    const auto bnb_start = Clock::now();
     LpSolver lp(model_, lp_options);
     LpBasis last_basis = root_basis;
     std::vector<double> lower(n), upper(n);
-
-    std::unique_lock<std::mutex> lock(queue_mu);
-    while (true) {
-      auto runnable = [&] {
-        return done || !open.empty() || expanding_bounds.empty();
-      };
-      if (!runnable()) {
-        // Queue contention: this worker is about to block on peers. The
-        // wait count is always maintained; the wait-duration histogram
-        // reads the clock only when observability is on.
-        ins.queue_waits->Increment();
-        if (ObservabilityEnabled()) {
-          const auto wait_start = Clock::now();
-          queue_cv.wait(lock, runnable);
-          ins.queue_wait_ms->Observe(millis_since(wait_start));
-        } else {
-          queue_cv.wait(lock, runnable);
-        }
-      }
-      if (done) {
-        break;
-      }
-      if (open.empty()) {
-        if (expanding_bounds.empty()) {
-          // Queue drained and nobody is expanding: search exhausted.
-          done = true;
-          queue_cv.notify_all();
-          break;
-        }
-        continue;  // spurious wakeup while peers still expand
-      }
-      if (nodes.load(std::memory_order_relaxed) >= options_.max_nodes ||
-          deadline.Expired()) {
+    while (!open.empty()) {
+      if (nodes >= options_.max_nodes || deadline.Expired()) {
         limits_hit = true;
-        done = true;
-        queue_cv.notify_all();
         break;
       }
-      if (options_.stall_node_limit > 0 &&
-          incumbent_atomic.load(std::memory_order_acquire) != -kInfinity &&
-          nodes_since_improvement.load(std::memory_order_relaxed) >=
-              options_.stall_node_limit) {
+      if (options_.stall_node_limit > 0 && have_incumbent &&
+          nodes_since_improvement >= options_.stall_node_limit) {
         limits_hit = true;
         stall_hit = true;
-        done = true;
-        queue_cv.notify_all();
         break;
       }
-
+      if (gap_satisfied(open_bound())) {
+        break;
+      }
       std::shared_ptr<const Node> node = open.top();
-      double global_bound = node->bound;
-      if (!expanding_bounds.empty()) {
-        global_bound = std::max(global_bound, *expanding_bounds.rbegin());
-      }
-      final_bound = global_bound;
-      if (gap_satisfied(global_bound)) {
-        done = true;
-        queue_cv.notify_all();
-        break;
-      }
       open.pop();
-      {
-        double inc = incumbent_atomic.load(std::memory_order_acquire);
-        if (inc != -kInfinity && node->bound <= inc + options_.abs_gap) {
-          continue;  // cannot improve on the incumbent
-        }
+      if (have_incumbent && node->bound <= incumbent_obj + options_.abs_gap) {
+        continue;  // cannot improve on the incumbent
       }
-      auto active_it = expanding_bounds.insert(node->bound);
-      lock.unlock();
 
-      // ---- expansion, outside the queue lock ----
       std::copy(root_lower.begin(), root_lower.end(), lower.begin());
       std::copy(root_upper.begin(), root_upper.end(), upper.begin());
       ApplyNodeBounds(*node, lower, upper);
 
       LpResult relax = timed_lp(lp, lower, upper, &last_basis);
-      int node_count = nodes.fetch_add(1, std::memory_order_relaxed) + 1;
-      nodes_since_improvement.fetch_add(1, std::memory_order_relaxed);
-      lp_iterations.fetch_add(relax.iterations, std::memory_order_relaxed);
-
-      bool make_children = false;
-      bool hit_unbounded = false;
-      bool hit_cancel = false;
-      double node_bound = node->bound;
-      int branch_var = -1;
-      double branch_x = 0.0;
+      ++nodes;
+      ++nodes_since_improvement;
+      lp_iterations += relax.iterations;
 
       if (relax.status == LpStatus::kInfeasible) {
-        // Subtree empty; drop the node.
-      } else if (relax.status == LpStatus::kCancelled) {
-        // Deadline expired mid-LP: stop the whole search. The node is NOT
-        // pruned as infeasible — it simply goes unexplored, so the incumbent
-        // stays whatever was proven before the cut.
-        hit_cancel = true;
-      } else if (relax.status == LpStatus::kIterationLimit) {
-        TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; pruning";
-      } else if (relax.status == LpStatus::kUnbounded) {
-        hit_unbounded = true;
-      } else {
-        last_basis = lp.BasisSnapshot();
-        node_bound = std::min(node->bound, relax.objective);
-        double inc = incumbent_atomic.load(std::memory_order_acquire);
-        if (inc == -kInfinity || node_bound > inc + options_.abs_gap) {
-          branch_var = MostFractionalVar(model_, relax.values);
-          if (branch_var < 0) {
-            offer_incumbent(relax.values);
-          } else if (node_count % kDiveEvery == 0) {
-            dive(lp, lower, upper, relax, &last_basis);
-            if (!gap_satisfied(node_bound)) {
-              make_children = true;
-              branch_x = relax.values[branch_var];
-            }
-          } else {
-            make_children = true;
-            branch_x = relax.values[branch_var];
-          }
+        continue;  // subtree empty
+      }
+      if (relax.status == LpStatus::kUnbounded) {
+        found_unbounded = true;
+        break;
+      }
+      if (relax.status == LpStatus::kCancelled ||
+          relax.status == LpStatus::kIterationLimit) {
+        // The subtree goes unexplored, not pruned: its bound stays in the
+        // reported bound. A cancelled LP means the deadline passed.
+        lost_bound = std::max(lost_bound, node->bound);
+        if (relax.status == LpStatus::kCancelled) {
+          limits_hit = true;
+          break;
+        }
+        TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; "
+                               "subtree left unexplored";
+        continue;
+      }
+      last_basis = lp.BasisSnapshot();
+      const double node_bound = std::min(node->bound, relax.objective);
+      if (have_incumbent && node_bound <= incumbent_obj + options_.abs_gap) {
+        continue;
+      }
+      const int branch_var = MostFractionalVar(model_, relax.values);
+      if (branch_var < 0) {
+        offer_incumbent(relax.values);
+        continue;
+      }
+      if (nodes % kDiveEvery == 0) {
+        dive(lp, lower, upper, relax, &last_basis);
+        if (gap_satisfied(node_bound)) {
+          lost_bound = std::max(lost_bound, node_bound);
+          continue;
         }
       }
+      const double branch_x = relax.values[branch_var];
+      auto down = std::make_shared<Node>();
+      down->bound = node_bound;
+      down->depth = node->depth + 1;
+      down->seq = next_seq++;
+      down->parent = node;
+      down->delta = {branch_var, -kInfinity, std::floor(branch_x)};
+      open.push(std::move(down));
 
-      lock.lock();
-      expanding_bounds.erase(active_it);
-      if (hit_cancel) {
-        limits_hit = true;
-        done = true;
-      }
-      if (hit_unbounded) {
-        found_unbounded = true;
-        done = true;
-      }
-      // Children are pushed even if another worker just signalled done: they
-      // keep the final best-bound honest and simply go unprocessed.
-      if (make_children) {
-        auto down = std::make_shared<Node>();
-        down->bound = node_bound;
-        down->depth = node->depth + 1;
-        down->seq = next_seq++;
-        down->parent = node;
-        down->delta = {branch_var, -kInfinity, std::floor(branch_x)};
-        open.push(std::move(down));
-
-        auto up = std::make_shared<Node>();
-        up->bound = node_bound;
-        up->depth = node->depth + 1;
-        up->seq = next_seq++;
-        up->parent = node;
-        up->delta = {branch_var, std::ceil(branch_x), kInfinity};
-        open.push(std::move(up));
-      }
-      queue_cv.notify_all();
-    }
-  };
-
-  root_span.reset();
-
-  {
-    TETRI_SPAN("solver.branch_and_bound");
-    const auto bnb_start = Clock::now();
-    if (num_workers == 1) {
-      // Run on the calling thread: identical node ordering, counts, and
-      // results to the historical sequential implementation.
-      worker(0);
-    } else {
-      ThreadPool pool(num_workers);
-      for (int w = 0; w < num_workers; ++w) {
-        pool.Submit([&worker, w] { worker(w); });
-      }
-      pool.Wait();
+      auto up = std::make_shared<Node>();
+      up->bound = node_bound;
+      up->depth = node->depth + 1;
+      up->seq = next_seq++;
+      up->parent = node;
+      up->delta = {branch_var, std::ceil(branch_x), kInfinity};
+      open.push(std::move(up));
     }
     ins.branch_and_bound_ms->Observe(millis_since(bnb_start));
   }
@@ -744,40 +627,33 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   // Result assembly (incumbent copy, status classification) until return.
   TETRI_SPAN("solver.finalize");
 
-  // All workers have joined; shared state is safe to read without locks.
+  finalize_counts();
   if (found_unbounded) {
     result.status = MilpStatus::kUnbounded;
-    finalize_counts();
     return result;
   }
-
-  double global_bound = final_bound;
-  if (!open.empty()) {
-    global_bound = open.top()->bound;
-  } else if (have_incumbent) {
-    global_bound = incumbent_obj;  // search exhausted: incumbent is optimal
-  }
-
-  result.best_bound = global_bound;
-  finalize_counts();
+  // The optimum is the incumbent or lies in a subtree the search did not
+  // close, so the reported bound never sits below the incumbent.
+  result.best_bound = open_bound();
   if (!have_incumbent) {
     result.status =
         limits_hit ? MilpStatus::kNoSolution : MilpStatus::kInfeasible;
     return result;
   }
+  result.best_bound = std::max(result.best_bound, incumbent_obj);
   result.objective = incumbent_obj;
   result.values = incumbent;
-  if (open.empty() || global_bound <= incumbent_obj + options_.abs_gap) {
+  if (result.best_bound <= incumbent_obj + options_.abs_gap) {
     result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
-  } else if (gap_satisfied(global_bound)) {
+  } else if (gap_satisfied(result.best_bound)) {
     result.status = MilpStatus::kGapLimit;
     result.solve_status = SolveStatus::kGapMet;
   } else {
     result.status = MilpStatus::kFeasible;
     // A limits-hit search that never improved on the trivial zero plan is
     // operationally a failed solve, however "feasible" it looks.
-    if (!real_incumbent.load(std::memory_order_relaxed)) {
+    if (!real_incumbent) {
       result.solve_status = SolveStatus::kNoIncumbent;
     } else {
       result.solve_status =

@@ -7,10 +7,11 @@
 // incumbent found so far is returned rather than failing.
 //
 // Search: best-bound node selection, most-fractional branching, and a diving
-// heuristic at the root to obtain an incumbent quickly. With num_threads > 1
-// the tree is explored by a pool of workers sharing a best-bound node queue
-// and an incumbent; each worker owns a private LpSolver (basis warm-start
-// state) so LP solves run without any locking (see DESIGN.md §8).
+// heuristic at the root (and every 64th node) to obtain an incumbent
+// quickly. The tree is explored on the calling thread, so node order, node
+// counts and results depend on the model and the options alone, never on
+// the machine's core count (see DESIGN.md §8). The reported bound covers
+// every subtree the search did not close and never sits below the incumbent.
 
 #ifndef TETRISCHED_SOLVER_MILP_H_
 #define TETRISCHED_SOLVER_MILP_H_
@@ -53,16 +54,15 @@ struct MilpOptions {
   // on by default. Single-component models bypass the layer and are
   // bit-identical to a monolithic solve.
   bool enable_decomposition = true;
-  // Branch-and-bound workers sharing one best-bound node queue. 0 means one
-  // worker per hardware thread. 1 runs the search on the calling thread with
-  // fully deterministic node ordering and node counts (use it in tests that
-  // assert either). >1 keeps the same gap/time/node guarantees but the node
-  // visit order — and therefore the node count — varies run to run.
+  // Threads that solve decomposed components side by side; 0 means one per
+  // hardware thread. Each component, like every undecomposed model, is
+  // searched single-threaded, so the result does not depend on this value
+  // unless wall-clock limits bind.
   int num_threads = 0;
   // External cooperative deadline (budget.h), composed with
   // time_limit_seconds: the solve arms an internal token at whichever
   // deadline comes first and threads it through the root LP, presolve
-  // recursion, every branch-and-bound worker's LP solves, the diving
+  // recursion, every branch-and-bound node's LP solve, the diving
   // heuristic, and each decomposed component, so the wall-clock limit is
   // honored *inside* an LP solve rather than only at node boundaries. A solve
   // cut off mid-LP returns the best incumbent so far with
@@ -80,10 +80,12 @@ struct MilpResult {
   SolveStatus solve_status = SolveStatus::kNoIncumbent;
   double objective = 0.0;        // incumbent objective (valid unless kNoSolution)
   std::vector<double> values;    // incumbent assignment
-  double best_bound = 0.0;       // proven upper bound on the optimum
+  // Upper bound on the optimum: the largest bound of any subtree the search
+  // did not close, and never below `objective` (+inf when the root
+  // relaxation did not finish).
+  double best_bound = 0.0;
   int nodes = 0;
   long lp_iterations = 0;
-  int threads_used = 1;  // resolved worker count (after the 0 = auto default)
   double solve_seconds = 0.0;
   // Decomposition breakdown (DESIGN.md §12): number of independent
   // components solved (1 = monolithic / bypass), wall-clock spent detecting

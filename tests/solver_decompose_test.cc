@@ -4,10 +4,10 @@
 // The contract under test: block-diagonal models split into their blocks and
 // the stitched result matches the monolithic solve (exactly at rel_gap = 0,
 // within the gap otherwise); single-component models take the bypass and are
-// bit-identical to the monolithic search; the decomposed solve is
-// deterministic even with num_threads > 1 (each component runs
-// single-threaded); presolve fixings sever couplings the raw model hides;
-// and cross-component status merging is conservative.
+// bit-identical to the monolithic search; a solve gives the same result at
+// every num_threads (the pool only runs single-threaded component searches
+// side by side); presolve fixings sever couplings the raw model hides; and
+// cross-component status merging is conservative.
 
 #include <algorithm>
 #include <cmath>
@@ -23,50 +23,10 @@
 #include "src/solver/milp.h"
 #include "src/solver/presolve.h"
 #include "src/strl/strl.h"
+#include "tests/solver_models.h"
 
 namespace tetrisched {
 namespace {
-
-// One demand/supply block in the compiled-STRL shape: per job a binary
-// indicator and an integer count tied by P == 2 I, all counts sharing one
-// supply row. Blocks share nothing, so the model is exactly block-diagonal.
-void AddDemandSupplyBlock(MilpModel& model, int jobs, double supply) {
-  std::vector<LinTerm> supply_row;
-  for (int j = 0; j < jobs; ++j) {
-    VarId indicator = model.AddBinaryVar();
-    VarId count = model.AddIntegerVar(0.0, 2.0);
-    model.AddObjectiveTerm(indicator, 1.0);
-    model.AddConstraint({{count, 1.0}, {indicator, -2.0}},
-                        ConstraintSense::kEqual, 0.0);
-    supply_row.push_back({count, 1.0});
-  }
-  model.AddConstraint(std::move(supply_row), ConstraintSense::kLessEqual,
-                      supply);
-}
-
-// One random binary-packing block (the solver_parallel_test generator,
-// confined to fresh variables so each call adds an independent component).
-void AddRandomPackingBlock(MilpModel& model, Rng& rng, int num_vars,
-                           int num_cons) {
-  std::vector<VarId> vars;
-  for (int v = 0; v < num_vars; ++v) {
-    VarId id = model.AddBinaryVar();
-    model.AddObjectiveTerm(id, rng.UniformReal(-5.0, 10.0));
-    vars.push_back(id);
-  }
-  for (int c = 0; c < num_cons; ++c) {
-    std::vector<LinTerm> terms;
-    for (VarId id : vars) {
-      if (rng.Bernoulli(0.6)) {
-        terms.push_back({id, rng.UniformReal(-3.0, 5.0)});
-      }
-    }
-    if (!terms.empty()) {
-      model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual,
-                          rng.UniformReal(0.0, 6.0));
-    }
-  }
-}
 
 TEST(DecomposeDetectTest, FindsBlockDiagonalComponents) {
   MilpModel model;
@@ -230,31 +190,44 @@ TEST(SolverDecomposeTest, SingleComponentBypassIsBitIdentical) {
 }
 
 TEST(SolverDecomposeTest, DeterministicAcrossRunsWithThreads) {
-  // num_threads = 4 with 4 components: the pool interleaving varies run to
-  // run, but each component solves single-threaded, so the stitched result
-  // must not.
-  MilpModel model;
+  // num_threads sizes only the component pool, and every search runs
+  // single-threaded: a 4-block model (split across the pool, 36 nodes) and
+  // a single-component model (which bypasses it, 184 nodes) must give the
+  // same nodes, LP iterations, bound and incumbent at every thread count.
+  MilpModel blocks;
   Rng rng(9777);
   for (int b = 0; b < 4; ++b) {
-    AddRandomPackingBlock(model, rng, 10, 5);
+    AddRandomPackingBlock(blocks, rng, 10, 5);
   }
+  MilpModel single;
+  Rng single_rng(1);
+  AddRandomPackingBlock(single, single_rng, 20, 8);
 
-  MilpOptions options;
-  options.rel_gap = 0.0;
-  options.time_limit_seconds = 30.0;
-  options.num_threads = 4;
-
-  MilpResult first = MilpSolver(model, options).Solve();
-  MilpResult second = MilpSolver(model, options).Solve();
-  ASSERT_TRUE(first.HasSolution());
-  ASSERT_TRUE(second.HasSolution());
-  EXPECT_EQ(first.components, 4);
-  EXPECT_EQ(second.components, 4);
-  EXPECT_EQ(first.nodes, second.nodes);
-  EXPECT_EQ(first.lp_iterations, second.lp_iterations);
-  EXPECT_EQ(first.objective, second.objective);
-  EXPECT_EQ(first.best_bound, second.best_bound);
-  EXPECT_EQ(first.values, second.values);
+  for (const MilpModel* model : {&blocks, &single}) {
+    const int expected_components = model == &blocks ? 4 : 1;
+    MilpOptions options;
+    options.rel_gap = 0.0;
+    options.time_limit_seconds = 30.0;
+    options.num_threads = 1;
+    const MilpResult reference = MilpSolver(*model, options).Solve();
+    ASSERT_TRUE(reference.HasSolution());
+    EXPECT_EQ(reference.components, expected_components);
+    for (int threads : {1, 4, 8}) {
+      options.num_threads = threads;
+      MilpResult result = MilpSolver(*model, options).Solve();
+      ASSERT_TRUE(result.HasSolution()) << "threads=" << threads;
+      EXPECT_EQ(result.components, expected_components)
+          << "threads=" << threads;
+      EXPECT_EQ(result.nodes, reference.nodes) << "threads=" << threads;
+      EXPECT_EQ(result.lp_iterations, reference.lp_iterations)
+          << "threads=" << threads;
+      EXPECT_EQ(result.objective, reference.objective)
+          << "threads=" << threads;
+      EXPECT_EQ(result.best_bound, reference.best_bound)
+          << "threads=" << threads;
+      EXPECT_EQ(result.values, reference.values) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(SolverDecomposeTest, PresolveFixingSplitsCoupledBlocks) {

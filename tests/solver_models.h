@@ -43,35 +43,61 @@ inline MilpModel RandomPresolveModel(uint64_t seed) {
   return model;
 }
 
+// One random binary-packing block over fresh variables: objective
+// coefficients in [-5, 10), and `num_cons` `<=` rows that each mention a
+// variable with probability 0.6 (coefficients in [-3, 5), rhs in [0, 6)).
+// Small blocks already need a real tree search.
+inline void AddRandomPackingBlock(MilpModel& model, Rng& rng, int num_vars,
+                                  int num_cons) {
+  std::vector<VarId> vars;
+  for (int v = 0; v < num_vars; ++v) {
+    VarId id = model.AddBinaryVar();
+    model.AddObjectiveTerm(id, rng.UniformReal(-5.0, 10.0));
+    vars.push_back(id);
+  }
+  for (int c = 0; c < num_cons; ++c) {
+    std::vector<LinTerm> terms;
+    for (VarId id : vars) {
+      if (rng.Bernoulli(0.6)) {
+        terms.push_back({id, rng.UniformReal(-3.0, 5.0)});
+      }
+    }
+    if (!terms.empty()) {
+      model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual,
+                          rng.UniformReal(0.0, 6.0));
+    }
+  }
+}
+
 // Block-diagonal model: `blocks` independent random binary-packing blocks
 // (the multi-component churn shape — jobs preferring disjoint equivalence
-// sets compile to exactly this structure). Each block needs a real tree
-// search; the blocks share no rows, so the decomposition layer splits them.
+// sets compile to exactly this structure). The blocks share no rows, so the
+// decomposition layer splits them.
 inline MilpModel BlockPackingModel(int blocks, int vars_per_block,
                                    int cons_per_block, uint64_t seed) {
   MilpModel model;
   Rng rng(seed);
   for (int b = 0; b < blocks; ++b) {
-    std::vector<VarId> vars;
-    for (int v = 0; v < vars_per_block; ++v) {
-      VarId id = model.AddBinaryVar();
-      model.AddObjectiveTerm(id, rng.UniformReal(-5.0, 10.0));
-      vars.push_back(id);
-    }
-    for (int c = 0; c < cons_per_block; ++c) {
-      std::vector<LinTerm> terms;
-      for (VarId id : vars) {
-        if (rng.Bernoulli(0.6)) {
-          terms.push_back({id, rng.UniformReal(-3.0, 5.0)});
-        }
-      }
-      if (!terms.empty()) {
-        model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual,
-                            rng.UniformReal(0.0, 6.0));
-      }
-    }
+    AddRandomPackingBlock(model, rng, vars_per_block, cons_per_block);
   }
   return model;
+}
+
+// One demand/supply block in the compiled-STRL shape: per job a binary
+// indicator and an integer count tied by P == 2 I, all counts sharing one
+// supply row. The optimum schedules floor(supply / 2) of the block's jobs.
+inline void AddDemandSupplyBlock(MilpModel& model, int jobs, double supply) {
+  std::vector<LinTerm> supply_row;
+  for (int j = 0; j < jobs; ++j) {
+    VarId indicator = model.AddBinaryVar();
+    VarId count = model.AddIntegerVar(0.0, 2.0);
+    model.AddObjectiveTerm(indicator, 1.0);
+    model.AddConstraint({{count, 1.0}, {indicator, -2.0}},
+                        ConstraintSense::kEqual, 0.0);
+    supply_row.push_back({count, 1.0});
+  }
+  model.AddConstraint(std::move(supply_row), ConstraintSense::kLessEqual,
+                      supply);
 }
 
 }  // namespace tetrisched

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/solver/certify.h"
 #include "src/solver/milp.h"
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
@@ -270,6 +271,96 @@ TEST(MilpSolverTest, GapLimitStopsEarly) {
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   EXPECT_GE(result.objective, 90.0 - 1e-6);
+}
+
+TEST(MilpSolverTest, RepeatSolveIsDeterministic) {
+  MilpModel model;
+  AddDemandSupplyBlock(model, 32, 18.0);
+  MilpOptions options;
+  options.rel_gap = 0.0;
+
+  MilpResult first = MilpSolver(model, options).Solve();
+  MilpResult second = MilpSolver(model, options).Solve();
+  ASSERT_TRUE(first.HasSolution());
+  ASSERT_TRUE(second.HasSolution());
+  EXPECT_NEAR(first.objective, 9.0, 1e-6);  // floor(18 / 2)
+  EXPECT_EQ(first.nodes, second.nodes);
+  EXPECT_EQ(first.lp_iterations, second.lp_iterations);
+  EXPECT_EQ(first.objective, second.objective);
+  EXPECT_EQ(first.best_bound, second.best_bound);
+  EXPECT_EQ(first.values, second.values);
+}
+
+TEST(MilpSolverTest, RespectsTimeLimit) {
+  // Symmetric knapsack: 40 identical items, odd capacity. The LP bound stays
+  // at 10.5 while the integer optimum is 10, so a zero-gap search can never
+  // close and must run until the clock stops it.
+  MilpModel model;
+  std::vector<LinTerm> row;
+  for (int i = 0; i < 40; ++i) {
+    VarId v = model.AddBinaryVar();
+    model.AddObjectiveTerm(v, 1.0);
+    row.push_back({v, 2.0});
+  }
+  model.AddConstraint(std::move(row), ConstraintSense::kLessEqual, 21.0);
+
+  MilpOptions options;  // default num_threads
+  options.rel_gap = 0.0;
+  options.abs_gap = 0.0;
+  options.max_nodes = 100000000;
+  options.stall_node_limit = 0;
+  options.enable_presolve = false;
+  options.time_limit_seconds = 0.3;
+
+  MilpResult result = MilpSolver(model, options).Solve();
+  // The zero incumbent guarantees a solution even on timeout...
+  ASSERT_TRUE(result.HasSolution());
+  EXPECT_EQ(result.status, MilpStatus::kFeasible);
+  EXPECT_GE(result.best_bound, result.objective);
+  // ...and the search must notice the deadline within one LP solve.
+  EXPECT_LE(result.solve_seconds, 2.0);
+}
+
+// Property test: whatever limit ends a search, the reported bound never
+// sits below the incumbent and the result passes the independent certifier
+// (which also audits any optimality or gap claim against that bound).
+TEST(MilpSolverTest, BoundNeverBelowIncumbent) {
+  int solves = 0;
+  int failures = 0;
+  std::string first_failure;
+  for (int seed = 0; seed < 400; ++seed) {
+    Rng rng(8800 + seed);
+    MilpModel model;
+    AddRandomPackingBlock(model, rng, static_cast<int>(rng.UniformInt(10, 29)),
+                          static_cast<int>(rng.UniformInt(4, 11)));
+    for (int max_nodes : {2, 5, 20, 1000000}) {
+      for (double rel_gap : {0.0, 0.1}) {
+        MilpOptions options;
+        options.max_nodes = max_nodes;
+        options.rel_gap = rel_gap;
+        options.time_limit_seconds = 60.0;
+        MilpResult result = MilpSolver(model, options).Solve();
+        if (!result.HasSolution()) {
+          continue;
+        }
+        ++solves;
+        const CertifyReport report = CertifyPlan(model, result, options);
+        if (result.best_bound < result.objective - options.abs_gap ||
+            !report.ok) {
+          if (failures++ == 0) {
+            first_failure = "seed " + std::to_string(seed) + " max_nodes " +
+                            std::to_string(max_nodes) + " rel_gap " +
+                            std::to_string(rel_gap) + ": bound " +
+                            std::to_string(result.best_bound) +
+                            " objective " + std::to_string(result.objective) +
+                            " certifier: " + report.failure;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(solves, 400 * 8);
+  EXPECT_EQ(failures, 0) << "first: " << first_failure;
 }
 
 // Property test: on random small MILPs, branch-and-bound must match
