@@ -4,10 +4,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
-#include "src/core/plan_check.h"
 #include "src/obs/explain.h"
 #include "src/obs/provenance.h"
 #include "src/service/jobspec.h"
@@ -82,25 +82,24 @@ ServiceInstruments& Instruments() {
   return instruments;
 }
 
-}  // namespace
-
-const char* SchedulerDaemon::ToString(JobState state) {
-  switch (state) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kPending:
-      return "pending";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kCompleted:
-      return "completed";
-    case JobState::kDropped:
-      return "dropped";
-    case JobState::kCancelled:
-      return "cancelled";
+std::unique_ptr<PersistenceManager> MakePersistence(
+    const DaemonOptions& options) {
+  if (options.storage == nullptr) {
+    return nullptr;
   }
-  return "?";
+  PersistOptions persist_options;
+  persist_options.snapshot_every = options.snapshot_every;
+  return std::make_unique<PersistenceManager>(
+      std::make_unique<ForwardingStorage>(options.storage), persist_options);
 }
+
+// Adds what `total` grew by since the last call to a registry counter.
+void SyncCounter(Counter* counter, int64_t total, int64_t* published) {
+  counter->Increment(total - *published);
+  *published = total;
+}
+
+}  // namespace
 
 SchedulerDaemon::SchedulerDaemon(DaemonOptions options)
     : options_([&options] {
@@ -118,14 +117,10 @@ SchedulerDaemon::SchedulerDaemon(DaemonOptions options)
                                   options_.gpu_racks)),
       scheduler_(cluster_, options_.scheduler),
       rayon_(cluster_.num_nodes()),
+      persist_(MakePersistence(options_)),
+      runtime_(cluster_,
+               RuntimeParams{.rayon = &rayon_, .persist = persist_.get()}),
       intake_(options_.admission) {
-  if (options_.storage != nullptr) {
-    PersistOptions persist_options;
-    persist_options.snapshot_every = options_.snapshot_every;
-    persist_ = std::make_unique<PersistenceManager>(
-        std::make_unique<ForwardingStorage>(options_.storage),
-        persist_options);
-  }
   if (options_.enable_provenance) {
     ProvenanceRecorder::Global().Enable(options_.provenance_ring);
   }
@@ -165,58 +160,29 @@ void SchedulerDaemon::RecoverFromJournal() {
     return;
   }
   RecoveryResult result = persist_->Recover();
-  const RecoveredState& state = result.state;
-  now_ = state.checkpoint_time;
-  rayon_.Restore(state.rayon);
-  if (!state.policy_state.empty()) {
-    scheduler_.ImportDurableState(state.policy_state);
-  }
+  now_ = result.state.checkpoint_time;
   JobId max_id = 0;
-  for (const auto& [job_id, spec_json] : state.service_jobs) {
+  for (const auto& [job_id, spec_json] : result.state.service_jobs) {
     JsonValue spec;
+    Job job;
     std::string error;
-    if (!JsonParse(spec_json, &spec, &error)) {
-      TETRI_LOG(kWarning) << "recovery: undecodable job spec for job "
-                          << job_id << ": " << error;
-      continue;
-    }
-    JobEntry entry;
-    if (!JobSpecFromJson(spec, now_, &entry.job, &error)) {
-      TETRI_LOG(kWarning) << "recovery: invalid job spec for job " << job_id
+    if (!JsonParse(spec_json, &spec, &error) ||
+        !JobSpecFromJson(spec, now_, &job, &error)) {
+      TETRI_LOG(kWarning) << "recovery: bad job spec for job " << job_id
                           << ": " << error;
       continue;
     }
-    entry.job.id = job_id;
-    entry.client = "(recovered)";
-    entry.accepted_at = entry.job.submit;
+    job.id = job_id;
     max_id = std::max(max_id, job_id);
-    // Reservation class survives via the journaled kSloUpdate records.
-    if (auto slo = state.slo.find(job_id); slo != state.slo.end()) {
-      entry.job.slo_class = static_cast<SloClass>(slo->second.slo_class);
-      entry.job.reservation = slo->second.reservation;
-    }
-    if (auto gang = state.running.find(job_id);
-        gang != state.running.end()) {
-      // Adopt the journaled running gang: the daemon persists its RM view,
-      // and (as in the paper's YARN deployment) running work survives a
-      // scheduler restart.
-      entry.state = JobState::kRunning;
-      entry.start = gang->second.start;
-      entry.placement = gang->second.counts;
-      // Belief == truth in service mode, so the journaled expected end is
-      // the completion instant; infer placement quality from it.
-      entry.end = gang->second.expected_end;
-      entry.preferred = gang->second.est_duration <= entry.job.actual_runtime;
-      ++running_count_;
-      ++recovered_running_;
-    } else {
-      entry.state = JobState::kPending;
-      pending_.push_back(job_id);
-      ++recovered_pending_;
-    }
-    jobs_.emplace(job_id, std::move(entry));
+    runtime_.AddJob(std::move(job));
+    clients_.push_back("(recovered)");
   }
   next_job_id_ = std::max<JobId>(next_job_id_, max_id + 1);
+  if (!result.state.policy_state.empty()) {
+    scheduler_.ImportDurableState(result.state.policy_state);
+  }
+  std::tie(recovered_pending_, recovered_running_) =
+      runtime_.Resume(std::move(result.state));
   if (result.replayed > 0 || result.snapshot_loaded) {
     TETRI_LOG(kInfo) << "tetrischedd recovered at t=" << now_ << ": "
                      << recovered_pending_ << " pending + "
@@ -233,56 +199,13 @@ void SchedulerDaemon::RecoverFromJournal() {
   }
 }
 
-RecoveredState SchedulerDaemon::BuildRecoveredState() const {
-  RecoveredState state;
-  state.checkpoint_time = now_;
-  state.rayon = rayon_.ExportState();
-  state.policy_state = scheduler_.ExportDurableState();
-  for (const auto& [job_id, entry] : jobs_) {
-    switch (entry.state) {
-      case JobState::kQueued:
-      case JobState::kPending:
-        state.service_jobs[job_id] = JobSpecToJson(entry.job);
-        break;
-      case JobState::kRunning: {
-        state.service_jobs[job_id] = JobSpecToJson(entry.job);
-        GangRecord gang;
-        gang.job = job_id;
-        gang.counts = entry.placement;
-        gang.start = entry.start;
-        gang.expected_end = entry.end;
-        gang.est_duration = entry.end - entry.start;
-        state.running[job_id] = gang;
-        break;
-      }
-      case JobState::kCompleted:
-      case JobState::kDropped:
-      case JobState::kCancelled:
-        state.finished.insert(job_id);
-        break;
-    }
-    if (entry.job.is_slo()) {
-      state.slo[job_id] =
-          SloRecord{job_id, static_cast<uint8_t>(entry.job.slo_class),
-                    entry.job.reservation};
-    }
-  }
-  return state;
-}
-
 void SchedulerDaemon::FinalCheckpoint() {
   if (persist_ == nullptr) {
     return;
   }
-  persist_->Checkpoint(BuildRecoveredState());
+  runtime_.Checkpoint(now_);
   TETRI_LOG(kInfo) << "tetrischedd final checkpoint at t=" << now_ << " ("
-                   << jobs_.size() << " jobs tracked)";
-}
-
-void SchedulerDaemon::Journal(const DurableEvent& event) {
-  if (persist_ != nullptr) {
-    persist_->Append(event);
-  }
+                   << runtime_.num_jobs() << " jobs tracked)";
 }
 
 // --- serving ---------------------------------------------------------------
@@ -457,198 +380,19 @@ void SchedulerDaemon::RequestDrain() {
 
 // --- cycle driver ----------------------------------------------------------
 
-void SchedulerDaemon::CompleteFinishedGangs() {
-  for (auto& [job_id, entry] : jobs_) {
-    if (entry.state != JobState::kRunning || entry.end > now_) {
-      continue;
-    }
-    entry.state = JobState::kCompleted;
-    --running_count_;
-    ++completed_;
-    Instruments().completed->Increment();
-    DurableEvent event;
-    event.kind = DurableEventKind::kGangComplete;
-    event.time = now_;
-    event.job = job_id;
-    event.preferred = entry.preferred;
-    event.runtime = entry.end - entry.start;
-    Journal(event);
-    if (ProvenanceRecorder::Global().enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kCompleted;
-      record.time = now_;
-      record.job = job_id;
-      record.label = entry.preferred ? "preferred" : "fallback";
-      ProvenanceRecorder::Global().Record(std::move(record));
-    }
-  }
-}
-
 void SchedulerDaemon::DrainIntakeIntoPending() {
-  int space = options_.max_pending_jobs - static_cast<int>(pending_.size());
+  int space = options_.max_pending_jobs -
+              static_cast<int>(runtime_.count(JobState::kPending));
   if (space <= 0) {
     return;
   }
   int budget = std::min(space, options_.admission.admit_per_cycle);
   for (QueuedSubmission& submission : intake_.DrainRoundRobin(budget)) {
-    JobId job_id = submission.job.id;
-    auto it = jobs_.find(job_id);
-    if (it == jobs_.end() || it->second.state != JobState::kQueued) {
-      continue;  // cancelled while queued
-    }
-    JobEntry& entry = it->second;
-    // Rayon admission for reservation seekers, with the simulator's
-    // conservative fallback-runtime estimate.
-    if (entry.job.wants_reservation) {
-      RdlRequest request;
-      request.requester = job_id;
-      request.k = entry.job.k;
-      request.duration = entry.job.EstimatedRuntime(/*preferred=*/false);
-      request.window_start = now_;
-      request.window_end = entry.job.deadline;
-      ReservationDecision decision = rayon_.Submit(request);
-      DurableEvent rayon_event;
-      rayon_event.time = now_;
-      rayon_event.job = job_id;
-      if (decision.accepted) {
-        entry.job.slo_class = SloClass::kSloAccepted;
-        entry.job.reservation = decision.interval;
-        rayon_event.kind = DurableEventKind::kRayonAdmit;
-        rayon_event.k = request.k;
-        rayon_event.interval = decision.interval;
-      } else {
-        entry.job.slo_class = SloClass::kSloUnreserved;
-        rayon_event.kind = DurableEventKind::kRayonReject;
-      }
-      Journal(rayon_event);
-      DurableEvent slo_event;
-      slo_event.kind = DurableEventKind::kSloUpdate;
-      slo_event.time = now_;
-      slo_event.job = job_id;
-      slo_event.slo_class = static_cast<uint8_t>(entry.job.slo_class);
-      slo_event.interval = entry.job.reservation;
-      Journal(slo_event);
-    } else if (entry.job.deadline != kTimeNever) {
-      entry.job.slo_class = SloClass::kSloUnreserved;
-    }
-    entry.state = JobState::kPending;
-    pending_.push_back(job_id);
-    DurableEvent event;
-    event.kind = DurableEventKind::kServiceSubmit;
-    event.time = now_;
-    event.job = job_id;
-    event.blob = JobSpecToJson(entry.job);
-    Journal(event);
-    if (ProvenanceRecorder::Global().enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kArrival;
-      record.time = now_;
-      record.job = job_id;
-      record.label = tetrisched::ToString(entry.job.type);
-      ProvenanceRecorder::Global().Record(std::move(record));
+    const int i = runtime_.index_of(submission.job.id);
+    if (i >= 0 && runtime_.state(i) == JobState::kQueued) {
+      runtime_.Admit(i, now_);
     }
   }
-}
-
-void SchedulerDaemon::DropJob(JobId job, JobState reason, const char* why) {
-  auto it = jobs_.find(job);
-  if (it == jobs_.end()) {
-    return;
-  }
-  JobEntry& entry = it->second;
-  if (entry.state == JobState::kRunning) {
-    --running_count_;
-  }
-  entry.state = reason;
-  entry.end = now_;
-  if (reason == JobState::kCancelled) {
-    ++cancelled_;
-    Instruments().cancelled->Increment();
-  } else {
-    ++dropped_;
-    Instruments().dropped->Increment();
-  }
-  pending_.erase(std::remove(pending_.begin(), pending_.end(), job),
-                 pending_.end());
-  DurableEvent event;
-  event.kind = DurableEventKind::kJobDropped;
-  event.time = now_;
-  event.job = job;
-  Journal(event);
-  if (ProvenanceRecorder::Global().enabled()) {
-    ProvenanceRecord record;
-    record.kind = ProvKind::kDropped;
-    record.time = now_;
-    record.job = job;
-    record.label = why;
-    ProvenanceRecorder::Global().Record(std::move(record));
-  }
-}
-
-void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
-  // Two-phase commit (DESIGN.md §11): intent first, then per-mutation
-  // records, then the applied marker with the policy's durable state.
-  DurableEvent intent;
-  intent.kind = DurableEventKind::kCommitIntent;
-  intent.time = now_;
-  for (const Placement& placement : decision.start_now) {
-    GangRecord gang;
-    gang.job = placement.job;
-    gang.counts = placement.counts;
-    gang.start = now_;
-    gang.expected_end = now_ + placement.est_duration;
-    gang.est_duration = placement.est_duration;
-    intent.gangs.push_back(std::move(gang));
-  }
-  intent.drops = decision.drop;
-  Journal(intent);
-
-  for (const Placement& placement : decision.start_now) {
-    auto it = jobs_.find(placement.job);
-    if (it == jobs_.end() || it->second.state != JobState::kPending) {
-      continue;
-    }
-    JobEntry& entry = it->second;
-    entry.state = JobState::kRunning;
-    entry.start = now_;
-    entry.preferred = placement.preferred_belief;
-    entry.placement = placement.counts;
-    // Belief == truth in service mode (exact estimates), so the actual end
-    // is the believed end.
-    entry.end = now_ + entry.job.ActualRuntime(entry.preferred);
-    ++running_count_;
-    pending_.erase(
-        std::remove(pending_.begin(), pending_.end(), placement.job),
-        pending_.end());
-    DurableEvent event;
-    event.kind = DurableEventKind::kGangLaunch;
-    event.time = now_;
-    event.job = placement.job;
-    event.gang.job = placement.job;
-    event.gang.counts = placement.counts;
-    event.gang.start = now_;
-    event.gang.expected_end = now_ + placement.est_duration;
-    event.gang.est_duration = placement.est_duration;
-    Journal(event);
-    if (ProvenanceRecorder::Global().enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kStart;
-      record.time = now_;
-      record.job = placement.job;
-      record.label = entry.preferred ? "preferred" : "fallback";
-      record.value = placement.value;
-      ProvenanceRecorder::Global().Record(std::move(record));
-    }
-  }
-  for (JobId job : decision.drop) {
-    DropJob(job, JobState::kDropped, "deadline unreachable");
-  }
-
-  DurableEvent applied;
-  applied.kind = DurableEventKind::kCommitApplied;
-  applied.time = now_;
-  applied.blob = scheduler_.ExportDurableState();
-  Journal(applied);
 }
 
 void SchedulerDaemon::RunCycle() {
@@ -656,64 +400,19 @@ void SchedulerDaemon::RunCycle() {
     now_ += options_.sim_seconds_per_cycle;
   }
   ++cycles_;
-  CompleteFinishedGangs();
+  runtime_.CompleteUntil(now_);
   // Draining closes intake to new submissions (HandleSubmit refuses them),
   // but the ones already acknowledged and queued are still admitted, or the
   // daemon could never reach drained.
   DrainIntakeIntoPending();
 
-  std::vector<const Job*> pending_jobs;
-  pending_jobs.reserve(pending_.size());
-  for (JobId job : pending_) {
-    auto it = jobs_.find(job);
-    if (it != jobs_.end() && it->second.state == JobState::kPending) {
-      pending_jobs.push_back(&it->second.job);
-    }
-  }
+  std::vector<const Job*> pending;
   std::vector<RunningHold> running;
-  for (const auto& [job_id, entry] : jobs_) {
-    if (entry.state != JobState::kRunning) {
-      continue;
-    }
-    RunningHold hold;
-    hold.job = job_id;
-    hold.slo_class = entry.job.slo_class;
-    hold.start = entry.start;
-    hold.reservation_end = entry.job.slo_class == SloClass::kSloAccepted
-                               ? entry.job.reservation.end
-                               : kTimeNever;
-    hold.counts = entry.placement;
-    hold.expected_end = entry.end;
-    running.push_back(std::move(hold));
+  runtime_.BuildView(now_, &pending, &running);
+  if (!pending.empty() || !running.empty()) {
+    runtime_.Commit(now_, scheduler_.OnCycle(now_, pending, running),
+                    scheduler_, launch_);
   }
-
-  if (!pending_jobs.empty() || !running.empty()) {
-    SchedulerPolicy::Decision decision =
-        scheduler_.OnCycle(now_, pending_jobs, running);
-    // Defense in depth: the scheduler validates internally, but the
-    // service revalidates before committing anything to its ledger (the
-    // acceptance bar: zero violations across restarts).
-    std::vector<PlanViolation> violations =
-        ValidatePlan(cluster_, pending_jobs, running, decision.start_now);
-    if (!violations.empty()) {
-      validator_violations_ += static_cast<int64_t>(violations.size());
-      for (const PlanViolation& violation : violations) {
-        TETRI_LOG(kWarning) << "service plan violation (job "
-                            << violation.job << "): " << violation.reason;
-      }
-      decision.start_now.clear();  // skip the cycle; replan next period
-    }
-    ApplyDecision(decision);
-  }
-
-  // The image holds every job the daemon has seen: build it only when a
-  // checkpoint is due.
-  if (persist_ != nullptr && persist_->CheckpointDue()) {
-    persist_->Checkpoint(BuildRecoveredState());
-  }
-  Instruments().inflight->Set(static_cast<double>(
-      intake_.size() + static_cast<int64_t>(pending_.size()) +
-      running_count_));
   PublishStatus();
 }
 
@@ -724,14 +423,14 @@ DaemonStatus SchedulerDaemon::UnlockedStatus() const {
   status.now = now_;
   status.cycles = cycles_;
   status.queued = intake_.size();
-  status.pending = static_cast<int64_t>(pending_.size());
-  status.running = running_count_;
-  status.completed = completed_;
-  status.dropped = dropped_;
-  status.cancelled = cancelled_;
+  status.pending = runtime_.count(JobState::kPending);
+  status.running = runtime_.count(JobState::kRunning);
+  status.completed = runtime_.count(JobState::kCompleted);
+  status.dropped = runtime_.count(JobState::kDropped);
+  status.cancelled = runtime_.count(JobState::kCancelled);
   status.admitted_total = admitted_total_;
   status.rejected_total = rejected_total_;
-  status.validator_violations = validator_violations_;
+  status.validator_violations = runtime_.counters().validator_violations;
   status.draining = draining_;
   status.drained = draining_ && status.queued == 0 && status.pending == 0 &&
                    status.running == 0;
@@ -739,8 +438,15 @@ DaemonStatus SchedulerDaemon::UnlockedStatus() const {
 }
 
 void SchedulerDaemon::PublishStatus() {
+  DaemonStatus status = UnlockedStatus();
+  ServiceInstruments& instruments = Instruments();
+  SyncCounter(instruments.completed, status.completed, &published_completed_);
+  SyncCounter(instruments.dropped, status.dropped, &published_dropped_);
+  SyncCounter(instruments.cancelled, status.cancelled, &published_cancelled_);
+  instruments.inflight->Set(
+      static_cast<double>(status.queued + status.pending + status.running));
   std::lock_guard<std::mutex> lock(status_mu_);
-  published_status_ = UnlockedStatus();
+  published_status_ = status;
 }
 
 DaemonStatus SchedulerDaemon::StatusSnapshot() const {
@@ -748,30 +454,33 @@ DaemonStatus SchedulerDaemon::StatusSnapshot() const {
   return published_status_;
 }
 
-JsonObj SchedulerDaemon::JobStatusJson(const JobEntry& entry) const {
+JsonObj SchedulerDaemon::JobStatusJson(int index) const {
+  const Job& job = runtime_.job(index);
+  const JobState state = runtime_.state(index);
+  const JobOutcome& outcome = runtime_.outcome(index);
   JsonObj obj;
-  obj.Field("job", entry.job.id);
-  obj.Field("state", ToString(entry.state));
-  obj.Field("client", entry.client);
-  obj.Field("type", tetrisched::ToString(entry.job.type));
-  obj.Field("slo_class", tetrisched::ToString(entry.job.slo_class));
-  obj.Field("k", entry.job.k);
-  obj.Field("accepted_at", entry.accepted_at);
-  if (entry.job.deadline != kTimeNever) {
-    obj.Field("deadline", entry.job.deadline);
+  obj.Field("job", job.id);
+  obj.Field("state", ToString(state));
+  obj.Field("client", clients_[index]);
+  obj.Field("type", ToString(job.type));
+  obj.Field("slo_class", ToString(job.slo_class));
+  obj.Field("k", job.k);
+  obj.Field("accepted_at", job.submit);
+  if (job.deadline != kTimeNever) {
+    obj.Field("deadline", job.deadline);
   }
-  if (entry.start >= 0) {
-    obj.Field("start", entry.start);
-    obj.Field("preferred", entry.preferred);
+  if (outcome.start_time >= 0) {
+    obj.Field("start", outcome.start_time);
+    obj.Field("preferred", outcome.preferred);
   }
-  if (entry.end >= 0 && entry.state != JobState::kRunning) {
-    obj.Field("end", entry.end);
-  } else if (entry.state == JobState::kRunning) {
-    obj.Field("expected_end", entry.end);
+  if (state == JobState::kRunning) {
+    obj.Field("expected_end", runtime_.running().at(job.id).actual_end);
+  } else if (runtime_.end_time(index) >= 0) {
+    obj.Field("end", runtime_.end_time(index));
   }
-  if (!entry.placement.empty()) {
+  if (!outcome.placement.empty()) {
     JsonObj placement;
-    for (const auto& [partition, count] : entry.placement) {
+    for (const auto& [partition, count] : outcome.placement) {
       placement.Field("p" + std::to_string(partition), count);
     }
     obj.FieldRaw("placement", placement.str());
@@ -827,17 +536,11 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
     return ErrorResponse(request.req_id, kErrOverloaded, verdict.reason,
                          verdict.retry_after_ms);
   }
-  JobEntry entry;
-  entry.job = job;
-  entry.state = JobState::kQueued;
-  entry.client = client;
-  entry.accepted_at = now_;
-  jobs_.emplace(job.id, std::move(entry));
+  // Journaled before the reply: an acknowledged job survives a restart.
+  runtime_.Enqueue(job, now_, JobSpecToJson(job));
+  clients_.push_back(client);
   ++admitted_total_;
   Instruments().admitted->Increment();
-  Instruments().inflight->Set(static_cast<double>(
-      intake_.size() + static_cast<int64_t>(pending_.size()) +
-      running_count_));
 
   JsonObj extra;
   extra.Field("job", job.id);
@@ -849,14 +552,13 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
 std::string SchedulerDaemon::HandleStatus(const ServiceRequest& request) {
   if (const JsonValue* job = request.body.Find("job");
       job != nullptr && job->is_number()) {
-    auto it = jobs_.find(static_cast<JobId>(job->number));
-    if (it == jobs_.end()) {
+    const JobId id = static_cast<JobId>(job->number);
+    const int index = runtime_.index_of(id);
+    if (index < 0) {
       return ErrorResponse(request.req_id, kErrNotFound,
-                           "no such job " +
-                               std::to_string(static_cast<JobId>(
-                                   job->number)));
+                           "no such job " + std::to_string(id));
     }
-    return OkResponse(request.req_id, JobStatusJson(it->second));
+    return OkResponse(request.req_id, JobStatusJson(index));
   }
   DaemonStatus status = UnlockedStatus();
   JsonObj extra;
@@ -886,30 +588,22 @@ std::string SchedulerDaemon::HandleCancel(const ServiceRequest& request) {
                          "cancel needs a numeric \"job\"");
   }
   JobId job = static_cast<JobId>(job_field->number);
-  auto it = jobs_.find(job);
-  if (it == jobs_.end()) {
+  const int index = runtime_.index_of(job);
+  if (index < 0) {
     return ErrorResponse(request.req_id, kErrNotFound,
                          "no such job " + std::to_string(job));
   }
-  JobEntry& entry = it->second;
-  switch (entry.state) {
-    case JobState::kQueued:
-      intake_.CancelJob(job);
-      [[fallthrough]];
-    case JobState::kPending:
-    case JobState::kRunning:
-      DropJob(job, JobState::kCancelled, "client cancel");
-      break;
-    case JobState::kCompleted:
-    case JobState::kDropped:
-    case JobState::kCancelled:
-      return ErrorResponse(request.req_id, kErrConflict,
-                           std::string("job already ") +
-                               ToString(entry.state));
+  if (runtime_.state(index) == JobState::kQueued) {
+    intake_.CancelJob(job);
+  }
+  if (!runtime_.Cancel(index, now_)) {
+    return ErrorResponse(request.req_id, kErrConflict,
+                         std::string("job already ") +
+                             ToString(runtime_.state(index)));
   }
   JsonObj extra;
   extra.Field("job", job);
-  extra.Field("state", ToString(entry.state));
+  extra.Field("state", ToString(runtime_.state(index)));
   return OkResponse(request.req_id, extra);
 }
 

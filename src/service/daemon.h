@@ -1,24 +1,26 @@
 // tetrischedd — the scheduler as a long-running service (DESIGN.md §16).
 //
 // SchedulerDaemon wraps the TetriSched library in a single-threaded
-// poll-based serving loop:
+// poll-based serving loop. It keeps what is particular to a service:
 //
 //   * transports: loopback TCP and/or Unix domain listeners, plus adopted
 //     pre-connected fds (socketpairs) for deterministic in-process tests,
-//   * a real-clock cycle driver: every cycle_period_ms of wall time the
-//     virtual clock advances by sim_seconds_per_cycle and one scheduling
-//     cycle runs — intake drain (admission control + Rayon), completions,
-//     TetriScheduler::OnCycle under the §13 cycle budget, ValidatePlan,
-//     and a two-phase journaled commit,
+//   * the JSON protocol (submit / status / cancel / explain / metrics /
+//     drain / shutdown),
 //   * admission control with backpressure (admission.h): bounded intake
 //     queue, per-client fairness, explicit `overloaded` rejections with
 //     retry-after hints,
-//   * durability: every acceptance/launch/completion/drop is journaled
-//     through PersistenceManager (kServiceSubmit + the §11 vocabulary);
-//     SIGTERM triggers a final checkpoint, and a restarted daemon resumes
-//     accepted-but-unfinished jobs and adopts journaled running gangs.
-//     The daemon persists its *resource-manager view*; like the paper's
-//     YARN deployment, running work survives a scheduler restart.
+//   * a real-clock cycle driver: every cycle_period_ms of wall time the
+//     virtual clock advances by sim_seconds_per_cycle and one scheduling
+//     cycle runs TetriScheduler::OnCycle under the §13 cycle budget.
+//
+// The job lifecycle is the simulator's: a ClusterRuntime (DESIGN.md §17)
+// owns the job table, the ledger, Rayon admission, completions, drops,
+// cancels and the two-phase journaled commit. An acknowledged submission is
+// journaled (kServiceSubmit) before the reply; SIGTERM triggers a final
+// checkpoint of the runtime's image, and a restarted daemon resumes
+// accepted-but-unfinished jobs and adopts journaled running gangs. Like the
+// paper's YARN deployment, running work survives a scheduler restart.
 //
 // Threading: everything runs on the thread that calls Run(). Other threads
 // (and signal handlers) may only call RequestStop/RequestDrain/
@@ -40,6 +42,7 @@
 #include "src/net/event_loop.h"
 #include "src/persist/persist.h"
 #include "src/rayon/rayon.h"
+#include "src/runtime/cluster_runtime.h"
 #include "src/service/admission.h"
 #include "src/service/protocol.h"
 
@@ -147,31 +150,9 @@ class SchedulerDaemon {
   int recovered_running() const { return recovered_running_; }
 
  private:
-  enum class JobState {
-    kQueued,     // accepted into the intake queue
-    kPending,    // admitted to the scheduler's pending set
-    kRunning,    // gang launched
-    kCompleted,
-    kDropped,    // deadline unreachable / scheduler drop
-    kCancelled,  // client cancel
-  };
-  static const char* ToString(JobState state);
-
-  struct JobEntry {
-    Job job;
-    JobState state = JobState::kQueued;
-    std::string client;
-    SimTime accepted_at = -1;  // virtual time entering the intake queue
-    SimTime start = -1;
-    SimTime end = -1;
-    bool preferred = false;
-    std::map<PartitionId, int> placement;
-  };
-
-  // --- lifecycle ---------------------------------------------------------
+  // --- durability --------------------------------------------------------
   void RecoverFromJournal();
   void FinalCheckpoint();
-  RecoveredState BuildRecoveredState() const;
 
   // --- serving -----------------------------------------------------------
   void OnListenerReadable(int listener_fd);
@@ -192,13 +173,9 @@ class SchedulerDaemon {
 
   // --- cycle driver ------------------------------------------------------
   void RunCycle();
-  void CompleteFinishedGangs();
   void DrainIntakeIntoPending();
-  void ApplyDecision(const SchedulerPolicy::Decision& decision);
-  void DropJob(JobId job, JobState reason, const char* why);
 
-  void Journal(const DurableEvent& event);
-  JsonObj JobStatusJson(const JobEntry& entry) const;
+  JsonObj JobStatusJson(int index) const;
   DaemonStatus UnlockedStatus() const;
   void PublishStatus();
 
@@ -207,6 +184,8 @@ class SchedulerDaemon {
   TetriScheduler scheduler_;
   RayonAdmission rayon_;
   std::unique_ptr<PersistenceManager> persist_;  // null when no storage
+  ClusterRuntime runtime_;
+  LaunchHook launch_;  // the ledger-only launch: belief == truth here
   AdmissionQueue intake_;
   EventLoop loop_;
 
@@ -215,16 +194,14 @@ class SchedulerDaemon {
   std::map<int64_t, std::unique_ptr<FramedConnection>> connections_;
   int64_t next_connection_id_ = 1;
 
-  std::map<JobId, JobEntry> jobs_;
-  std::vector<JobId> pending_;  // admission order
+  std::vector<std::string> clients_;  // submitting client, by job index
   JobId next_job_id_ = 1;
   SimTime now_ = 0;
   int64_t cycles_ = 0;
-  int64_t validator_violations_ = 0;
-  int64_t completed_ = 0;
-  int64_t dropped_ = 0;
-  int64_t cancelled_ = 0;
-  int64_t running_count_ = 0;
+  // Runtime job counts already added to the registry counters.
+  int64_t published_completed_ = 0;
+  int64_t published_dropped_ = 0;
+  int64_t published_cancelled_ = 0;
   int64_t admitted_total_ = 0;
   int64_t rejected_total_ = 0;
   int recovered_pending_ = 0;

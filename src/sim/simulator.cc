@@ -10,8 +10,6 @@
 #include <set>
 #include <sstream>
 
-#include "src/cluster/ledger.h"
-#include "src/core/estimator.h"
 #include "src/core/plan_check.h"
 #include "src/common/atomic_io.h"
 #include "src/common/json.h"
@@ -23,97 +21,7 @@
 
 namespace tetrisched {
 
-bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
-                          const std::map<PartitionId, int>& counts) {
-  switch (job.type) {
-    case JobType::kUnconstrained:
-      return true;
-    case JobType::kGpu:
-      for (const auto& [partition, count] : counts) {
-        if (count > 0 && !cluster.partition(partition).has_gpu) {
-          return false;
-        }
-      }
-      return true;
-    case JobType::kMpi: {
-      RackId rack = -1;
-      for (const auto& [partition, count] : counts) {
-        if (count == 0) {
-          continue;
-        }
-        RackId r = cluster.partition(partition).rack;
-        if (rack == -1) {
-          rack = r;
-        } else if (rack != r) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case JobType::kAvailability:
-      return true;
-    case JobType::kDataLocal:
-      for (const auto& [partition, count] : counts) {
-        if (count > 0 &&
-            std::find(job.preferred_partitions.begin(),
-                      job.preferred_partitions.end(),
-                      partition) == job.preferred_partitions.end()) {
-          return false;
-        }
-      }
-      return true;
-  }
-  return true;
-}
-
-int ApplyAdmission(const Cluster& cluster, std::vector<Job>& jobs,
-                   RayonAdmission* rayon_in) {
-  RayonAdmission local(cluster.num_nodes());
-  RayonAdmission& rayon = rayon_in != nullptr ? *rayon_in : local;
-  int accepted = 0;
-  for (Job& job : jobs) {
-    if (!job.wants_reservation) {
-      job.slo_class = SloClass::kBestEffort;
-      continue;
-    }
-    RdlRequest request;
-    request.requester = job.id;
-    request.k = job.k;
-    // Reservations are made against the preferred-placement estimate; the
-    // scheduler (not the admission plan) absorbs the slowdown risk of
-    // fallback placements.
-    request.duration = job.EstimatedRuntime(/*preferred=*/true);
-    request.window_start = job.submit;
-    request.window_end = job.deadline;
-    ReservationDecision decision = rayon.Submit(request);
-    if (decision.accepted) {
-      job.slo_class = SloClass::kSloAccepted;
-      job.reservation = decision.interval;
-      ++accepted;
-    } else {
-      job.slo_class = SloClass::kSloUnreserved;
-    }
-  }
-  return accepted;
-}
-
 namespace {
-
-enum class JobState {
-  kFuture,
-  kPending,
-  kRunning,
-  kCompleted,
-  kDropped,
-};
-
-struct RunningJob {
-  std::vector<NodeId> nodes;
-  std::map<PartitionId, int> counts;
-  SimTime start = 0;
-  SimTime expected_end = 0;  // scheduler-visible (estimate-derived)
-  SimTime actual_end = 0;    // ground truth
-};
 
 // Registry-backed simulator instruments (DESIGN.md §10): per-cycle pending
 // depth plus churn/outcome event counters. SimMetrics stays the per-run
@@ -173,17 +81,94 @@ SimInstruments& Instruments() {
   return instruments;
 }
 
-const char* SloClassLabel(SloClass slo_class) {
-  switch (slo_class) {
-    case SloClass::kSloAccepted:
-      return "slo-accepted";
-    case SloClass::kSloUnreserved:
-      return "slo-unreserved";
-    case SloClass::kBestEffort:
-      return "best-effort";
+// The simulator's side of a launch. Under a lossy control plane a
+// placement avoids believed-down nodes and the launch command must reach
+// every member or none: a shortfall or a lost command bounces the plan as
+// stale (the agent-side slots are released; the gang retries next cycle).
+// Fail-slow episodes active on a gang's nodes at start stretch its runtime,
+// and an injected crash fires at its commit point.
+class SimLaunchHook : public LaunchHook {
+ public:
+  SimLaunchHook(ControlPlane& comms,
+                const std::vector<StragglerEvent>& active_stragglers,
+                int* slowed_starts)
+      : comms_(comms),
+        active_stragglers_(active_stragglers),
+        slowed_starts_(slowed_starts) {}
+
+  // This cycle's crash, when one is due inside the commit.
+  const SchedulerCrashEvent* crash = nullptr;
+
+  Verdict Acquire(SimTime now, const Placement& placement, NodeLedger& ledger,
+                  std::vector<NodeId>* nodes, const char** why) override {
+    if (!comms_.active()) {
+      return LaunchHook::Acquire(now, placement, ledger, nodes, why);
+    }
+    const std::vector<char>& down = comms_.believed_down_mask();
+    for (const auto& [partition, count] : placement.counts) {
+      // Physically impossible (or only satisfiable by placing onto
+      // believed-down nodes): the believed view was stale.
+      if (count > ledger.FreeAvoiding(partition, down)) {
+        *why = "capacity";
+        return Verdict::kBounced;
+      }
+    }
+    for (const auto& [partition, count] : placement.counts) {
+      std::vector<NodeId> taken =
+          ledger.AcquireAvoiding(partition, count, down);
+      nodes->insert(nodes->end(), taken.begin(), taken.end());
+      if (static_cast<int>(taken.size()) < count) {
+        ledger.Release(*nodes);
+        *why = "short-take";
+        return Verdict::kBounced;
+      }
+    }
+    for (NodeId member : *nodes) {
+      if (!comms_.DeliverCommand(member, now)) {
+        ledger.Release(*nodes);
+        *why = "command-lost";
+        return Verdict::kBounced;
+      }
+    }
+    // Delivered placement commands carry the current fence epoch;
+    // accepting one adopts it.
+    for (NodeId member : *nodes) {
+      comms_.AgentAdoptEpoch(member);
+    }
+    return Verdict::kLaunched;
   }
-  return "unknown";
-}
+
+  double Slowdown(const std::vector<NodeId>& nodes) override {
+    double factor = 1.0;
+    for (const StragglerEvent& event : active_stragglers_) {
+      if (std::find(nodes.begin(), nodes.end(), event.node) != nodes.end()) {
+        factor = std::max(factor, event.slowdown);
+      }
+    }
+    if (factor > 1.0) {
+      ++*slowed_starts_;
+    }
+    return factor;
+  }
+
+  void AtCommitPoint(CommitPoint point) override {
+    if (crash == nullptr) {
+      return;
+    }
+    const CrashPhase phase = crash->phase;
+    if ((point == CommitPoint::kIntent && phase == CrashPhase::kCommitIntent) ||
+        (point == CommitPoint::kMidCommit &&
+         phase == CrashPhase::kMidCommit) ||
+        (point == CommitPoint::kApplied && phase == CrashPhase::kAfterCommit)) {
+      throw SchedulerCrashSignal{};
+    }
+  }
+
+ private:
+  ControlPlane& comms_;
+  const std::vector<StragglerEvent>& active_stragglers_;
+  int* slowed_starts_;
+};
 
 void WriteFileOrWarn(const std::string& path, const std::string& content) {
   // Crash-atomic: a run dying mid-export must never leave a truncated
@@ -255,32 +240,44 @@ SimMetrics Simulator::Run() {
 
   SimMetrics metrics;
   const int n = static_cast<int>(jobs_.size());
-  std::vector<JobState> state(n, JobState::kFuture);
-  std::map<JobId, int> index;
-  metrics.outcomes.resize(n);
-  for (int i = 0; i < n; ++i) {
-    const Job& job = jobs_[i];
-    index[job.id] = i;
-    JobOutcome& outcome = metrics.outcomes[i];
-    outcome.id = job.id;
-    outcome.slo_class = job.slo_class;
-    outcome.type = job.type;
-    outcome.submit = job.submit;
-    outcome.deadline = job.deadline;
-  }
-
-  NodeLedger ledger(cluster_);
-  RuntimeEstimator estimator;
   auto trace = [&](TraceEvent event) {
     if (config_.trace != nullptr) {
       config_.trace->Record(event);
     }
   };
-  std::map<JobId, RunningJob> running;
-  // (actual completion time, job id), earliest first.
-  std::priority_queue<std::pair<SimTime, JobId>,
-                      std::vector<std::pair<SimTime, JobId>>, std::greater<>>
-      completions;
+
+  // Persistence and scheduler-crash harness (DESIGN.md §11). The active
+  // policy is held by pointer so recovery can swap in a freshly built one.
+  SchedulerPolicy* policy = &policy_;
+  std::unique_ptr<SchedulerPolicy> owned_policy;
+  std::vector<SchedulerCrashEvent> crashes = config_.scheduler_crashes;
+  std::stable_sort(crashes.begin(), crashes.end(),
+                   [](const SchedulerCrashEvent& a,
+                      const SchedulerCrashEvent& b) { return a.at < b.at; });
+  size_t next_crash = 0;
+  std::unique_ptr<PersistenceManager> owned_persist;
+  PersistenceManager* persist = config_.persist;
+  if (persist == nullptr && !crashes.empty()) {
+    // Crashes need a journal to recover from; default to an in-memory one.
+    owned_persist = std::make_unique<PersistenceManager>(
+        std::make_unique<MemoryJournalStorage>());
+    persist = owned_persist.get();
+  }
+
+  RuntimeParams params;
+  params.rayon = config_.rayon;
+  params.persist = persist;
+  params.trace = config_.trace;
+  params.max_retries = config_.max_retries;
+  params.retry_backoff = config_.retry_backoff;
+  params.retry_backoff_cap = config_.retry_backoff_cap;
+  params.learn_estimates = config_.learn_estimates;
+  ClusterRuntime runtime(cluster_, params);
+  for (const Job& job : jobs_) {
+    runtime.AddJob(job);
+  }
+  runtime.CheckpointInitial(*policy);
+  NodeLedger& ledger = runtime.ledger();
 
   // Fault injection bookkeeping. Scripted failure lists are validated up
   // front — entries with recover_at <= at, out-of-range node ids, or
@@ -305,24 +302,11 @@ SimMetrics Simulator::Run() {
   std::vector<StragglerEvent> active_stragglers;
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<>>
       straggler_ends;
-  auto straggle_factor = [&](const std::vector<NodeId>& nodes) {
-    double factor = 1.0;
-    for (const StragglerEvent& event : active_stragglers) {
-      if (std::find(nodes.begin(), nodes.end(), event.node) != nodes.end()) {
-        factor = std::max(factor, event.slowdown);
-      }
-    }
-    return factor;
-  };
 
-  // Retry/backoff state for failure-killed gangs.
-  std::vector<SimTime> eligible_at(n, 0);
-  std::vector<SimTime> last_kill(n, -1);
-
-  // Lossy control plane (DESIGN.md §15). When active, `running` is the
-  // scheduler's *believed* running set: a gang stays in it after a member
-  // node physically dies (broken, it can never complete) until the failure
-  // detector suspects the node and the gang is recalled. Copies the
+  // Lossy control plane (DESIGN.md §15). When active, the runtime's running
+  // set is the scheduler's *believed* one: a gang stays in it after a
+  // member node physically dies (broken, it can never complete) until the
+  // failure detector suspects the node and the gang is recalled. Copies the
   // scheduler recalled but could not kill (node down, partitioned, or the
   // kill command dropped) move to `orphans`: they still occupy ledger nodes
   // — ground truth — until reconciliation either adopts them back (intact
@@ -349,59 +333,19 @@ SimMetrics Simulator::Run() {
     }
     return counts;
   };
-
-  // Persistence and scheduler-crash harness (DESIGN.md §11). The active
-  // policy is held by pointer so recovery can swap in a freshly built one.
-  SchedulerPolicy* policy = &policy_;
-  std::unique_ptr<SchedulerPolicy> owned_policy;
-  std::vector<SchedulerCrashEvent> crashes = config_.scheduler_crashes;
-  std::stable_sort(crashes.begin(), crashes.end(),
-                   [](const SchedulerCrashEvent& a,
-                      const SchedulerCrashEvent& b) { return a.at < b.at; });
-  size_t next_crash = 0;
-  std::unique_ptr<PersistenceManager> owned_persist;
-  PersistenceManager* persist = config_.persist;
-  if (persist == nullptr && !crashes.empty()) {
-    // Crashes need a journal to recover from; default to an in-memory one.
-    owned_persist = std::make_unique<PersistenceManager>(
-        std::make_unique<MemoryJournalStorage>());
-    persist = owned_persist.get();
-  }
-
-  // Shadow image of the journal: every append is mirrored through
-  // ApplyEvent, so `image` is by construction exactly what Recover() would
-  // reconstruct and can be checkpointed at any consistent point.
-  RecoveredState image;
-  auto durable = [&](const DurableEvent& event) {
-    if (persist == nullptr) {
-      return;
-    }
-    persist->Append(event);
-    ApplyEvent(image, event);
-  };
-  if (persist != nullptr) {
-    if (config_.rayon != nullptr) {
-      image.rayon = config_.rayon->ExportState();
-    }
-    for (const Job& job : jobs_) {
-      if (job.slo_class != SloClass::kBestEffort || job.wants_reservation) {
-        image.slo[job.id] = SloRecord{
-            job.id, static_cast<uint8_t>(job.slo_class), job.reservation};
-      }
-    }
-    image.policy_state = policy->ExportDurableState();
-    persist->Checkpoint(image);
-  }
+  SimLaunchHook hook(comms, active_stragglers,
+                     &metrics.straggler_slowed_starts);
 
   int next_arrival = 0;
-  int outstanding = n;  // not yet completed/dropped
   SimTime now = 0;
   SimTime next_cycle = 0;
   SimTime last_event = 0;
   double busy_node_seconds = 0.0;
-  int busy_nodes = 0;
 
+  // Every occupied ledger node not taken out by a failure holds a copy.
   auto advance_to = [&](SimTime t) {
+    const int busy_nodes = cluster_.num_nodes() - ledger.total_free() -
+                           static_cast<int>(failed_nodes.size());
     busy_node_seconds += static_cast<double>(busy_nodes) *
                          static_cast<double>(t - last_event);
     last_event = t;
@@ -410,9 +354,9 @@ SimMetrics Simulator::Run() {
   // Crash + recovery: the scheduler process dies, losing all RM-side state
   // (policy internals, Rayon agenda, retry/backoff, estimator). Cluster
   // ground truth — the ledger, running gangs, the jobs themselves — survives
-  // (work-preserving restart). Recovery rebuilds the RM view from snapshot +
-  // journal replay, reconciles it against the surviving cluster, re-validates
-  // it, and checkpoints the reconciled image so the journal restarts clean.
+  // (work-preserving restart). The runtime rebuilds the RM view from
+  // snapshot + journal replay and reconciles it against the surviving
+  // cluster; the simulator then restarts the policy and re-validates.
   auto recover_scheduler = [&](CrashPhase phase) {
     auto wall_start = std::chrono::steady_clock::now();
     ++metrics.scheduler_crashes;
@@ -429,110 +373,32 @@ SimMetrics Simulator::Run() {
       prov.Record(std::move(record));
     }
 
-    RecoveryResult rec = persist->Recover();
-    RecoveredState st = std::move(rec.state);
-
-    // 1. Rayon admission agenda.
-    if (config_.rayon != nullptr) {
-      config_.rayon->Restore(st.rayon);
-    }
-    // 2. SLO classes/reservations mutated since admission (re-admissions).
-    for (const auto& [id, slo] : st.slo) {
-      auto it = index.find(id);
-      if (it == index.end()) {
-        continue;
-      }
-      jobs_[it->second].slo_class = static_cast<SloClass>(slo.slo_class);
-      jobs_[it->second].reservation = slo.reservation;
-    }
-    // 3. Retry/backoff state.
-    for (const auto& [id, retry] : st.retries) {
-      auto it = index.find(id);
-      if (it == index.end()) {
-        continue;
-      }
-      eligible_at[it->second] = retry.eligible_at;
-      last_kill[it->second] = retry.last_kill;
-    }
-    // 4. Runtime estimator: retrained from the journaled completion stream
-    //    in original observation order.
-    if (config_.learn_estimates) {
-      estimator = RuntimeEstimator();
-      for (const CompletionRecord& completion : st.completions) {
-        auto it = index.find(completion.job);
-        if (it != index.end()) {
-          estimator.Observe(jobs_[it->second], completion.preferred,
-                            completion.runtime);
-        }
-      }
-    }
-    // 4b. Fence epochs (DESIGN.md §15): kEpochBump records journal each
-    //     bump *before* the in-memory table changes, so the recovered table
-    //     is always >= any epoch a node agent may have adopted — a restart
-    //     can never issue commands under a stale epoch and resurrect a
-    //     fenced placement. Max-merge because the in-process control plane
-    //     also survives the simulated crash.
+    ClusterRuntime::Recovery rec = runtime.RecoverAfterCrash(now);
+    const RecoveredState& st = runtime.image();
+    metrics.recovery_adoptions += rec.adoptions;
+    metrics.recovery_mismatches += rec.mismatches;
+    // Fence epochs (DESIGN.md §15): kEpochBump records journal each bump
+    // *before* the in-memory table changes, so the recovered table is always
+    // >= any epoch a node agent may have adopted — a restart can never issue
+    // commands under a stale epoch and resurrect a fenced placement.
+    // Max-merge because the in-process control plane also survives the
+    // simulated crash.
     comms.RestoreFenceEpochs(st.epochs);
-    // 5. Reconcile the recovered RM view against cluster ground truth. A
-    //    gang the cluster runs but the journal never confirmed must come
-    //    from a commit interrupted between mutation and its kGangLaunch
-    //    record — adopt it from the pending intent.
-    for (const auto& [id, run] : running) {
-      if (st.running.count(id) != 0) {
-        continue;
-      }
-      GangRecord gang;
-      bool adopted = false;
-      if (st.pending_intent.has_value()) {
-        for (const GangRecord& g : st.pending_intent->gangs) {
-          if (g.job == id) {
-            gang = g;
-            adopted = true;
-            break;
-          }
-        }
-      }
-      if (adopted) {
-        ++metrics.recovery_adoptions;
-      } else {
-        ++metrics.recovery_mismatches;
-        TETRI_LOG(kWarning)
-            << "recovery: adopting unjournaled running gang of job " << id
-            << " from cluster ground truth";
-        gang.job = id;
-        gang.counts = run.counts;
-        gang.start = run.start;
-        gang.expected_end = run.expected_end;
-        gang.est_duration = run.expected_end - run.start;
-      }
-      st.running[id] = std::move(gang);
-    }
-    for (auto it = st.running.begin(); it != st.running.end();) {
-      if (running.count(it->first) == 0) {
-        ++metrics.recovery_mismatches;
-        TETRI_LOG(kWarning) << "recovery: journal believes job " << it->first
-                            << " is running but the cluster does not";
-        it = st.running.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    st.pending_intent.reset();
 
-    // 6. Fresh scheduler process: rebuild the policy, import durable state.
+    // Fresh scheduler process: rebuild the policy, import durable state.
     if (config_.policy_factory) {
       owned_policy = config_.policy_factory();
       policy = owned_policy.get();
     }
     policy->ImportDurableState(st.policy_state);
 
-    // 7. Post-recovery validation: the recovered running set, re-checked as
-    //    a plan against full capacity minus failed nodes. Zero violations is
-    //    the recovery invariant.
+    // Post-recovery validation: the recovered running set, re-checked as a
+    // plan against full capacity minus failed nodes. Zero violations is the
+    // recovery invariant.
     std::vector<const Job*> believed_running;
     std::vector<Placement> recovered_plan;
     for (const auto& [id, gang] : st.running) {
-      believed_running.push_back(&jobs_[index[id]]);
+      believed_running.push_back(&runtime.job(runtime.index_of(id)));
       Placement placement;
       placement.job = id;
       placement.counts = gang.counts;
@@ -550,16 +416,9 @@ SimMetrics Simulator::Run() {
     for (const PlanViolation& violation : ValidatePlan(
              cluster_, believed_running, failed_holds, recovered_plan)) {
       ++metrics.validator_violations;
-      sim_ins.validator_violations->Increment();
       TETRI_LOG(kWarning) << "post-recovery validation: job " << violation.job
                           << ": " << violation.reason;
     }
-
-    // 8. The reconciled image is the new checkpoint; the journal restarts
-    //    empty, so a crash during recovery replays to the same state.
-    image = std::move(st);
-    image.checkpoint_time = now;
-    persist->Checkpoint(image);
 
     ++metrics.recoveries;
     metrics.journal_replayed += rec.replayed;
@@ -584,147 +443,14 @@ SimMetrics Simulator::Run() {
     }
   };
 
-  // Post-kill retry/backoff bookkeeping, shared verbatim by the legacy
-  // instant-detection path and the lossy recall path (oracle-mode schedules
-  // stay byte-identical because both run exactly this code). The caller has
-  // already released the gang's reachable nodes and erased it from
-  // `running`; this decides drop-vs-requeue and journals the kill.
-  auto requeue_after_kill = [&](int i, JobId victim, NodeId cause_node) {
-    ++metrics.failure_kills;
-    sim_ins.failure_kills->Increment();
-    JobOutcome& outcome = metrics.outcomes[i];
-    ++outcome.retries;
-    if (outcome.retries > config_.max_retries) {
-      // Retry budget exhausted: drop instead of requeueing.
-      state[i] = JobState::kDropped;
-      outcome.dropped = true;
-      ++metrics.retries_exhausted;
-      sim_ins.retries_exhausted->Increment();
-      sim_ins.jobs_dropped->Increment();
-      trace({now, TraceEventKind::kDrop, victim});
-      if (prov.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kDropped;
-        record.time = now;
-        record.job = victim;
-        record.label = "retries-exhausted";
-        record.value = static_cast<double>(outcome.retries);
-        record.detail = JsonObj()
-                            .Field("node", cause_node)
-                            .Field("retries", outcome.retries)
-                            .str();
-        prov.Record(std::move(record));
-      }
-      if (persist != nullptr) {
-        DurableEvent drop;
-        drop.kind = DurableEventKind::kJobDropped;
-        drop.time = now;
-        drop.job = victim;
-        durable(drop);
-      }
-      --outstanding;
-      return;
-    }
-    state[i] = JobState::kPending;  // gang restarts from scratch
-    last_kill[i] = now;
-    SimDuration backoff = 0;
-    if (config_.retry_backoff > 0) {
-      backoff = std::min(config_.retry_backoff_cap,
-                         config_.retry_backoff
-                             << std::min(outcome.retries - 1, 30));
-    }
-    eligible_at[i] = now + backoff;
-    if (prov.enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kFailureKill;
-      record.time = now;
-      record.job = victim;
-      record.label = "node-failure";
-      record.value = static_cast<double>(outcome.retries);
-      record.detail =
-          JsonObj()
-              .Field("node", cause_node)
-              .Field("retries", outcome.retries)
-              .Field("eligible_at", static_cast<int64_t>(eligible_at[i]))
-              .str();
-      prov.Record(std::move(record));
-    }
-    if (persist != nullptr) {
-      DurableEvent kill;
-      kill.kind = DurableEventKind::kGangKill;
-      kill.time = now;
-      kill.job = victim;
-      kill.retries = outcome.retries;
-      kill.eligible_at = eligible_at[i];
-      durable(kill);
-    }
-
-    // Shrink-or-drop re-admission: an accepted-SLO gang whose
-    // reserved slot can no longer start on time gets one shot at a
-    // new reservation over the remaining window; on rejection it is
-    // downgraded to unreserved (it keeps running best-effort-style
-    // toward its deadline).
-    Job& job = jobs_[i];
-    if (config_.rayon != nullptr &&
-        job.slo_class == SloClass::kSloAccepted &&
-        job.reservation.start < eligible_at[i]) {
-      config_.rayon->Release(job.reservation, job.k);
-      if (persist != nullptr) {
-        DurableEvent release;
-        release.kind = DurableEventKind::kRayonRelease;
-        release.time = now;
-        release.job = job.id;
-        release.k = job.k;
-        release.interval = job.reservation;
-        durable(release);
-      }
-      RdlRequest request;
-      request.requester = job.id;
-      request.k = job.k;
-      request.duration = job.EstimatedRuntime(/*preferred=*/true);
-      request.window_start = eligible_at[i];
-      request.window_end = job.deadline;
-      ReservationDecision redo = config_.rayon->Submit(request);
-      if (redo.accepted) {
-        job.reservation = redo.interval;
-        ++outcome.readmissions;
-        ++metrics.readmissions;
-      } else {
-        job.slo_class = SloClass::kSloUnreserved;
-        job.reservation = {0, 0};
-        outcome.reservation_dropped = true;
-        ++metrics.reservations_dropped;
-      }
-      if (persist != nullptr) {
-        DurableEvent admit;
-        admit.kind = redo.accepted ? DurableEventKind::kRayonAdmit
-                                   : DurableEventKind::kRayonReject;
-        admit.time = now;
-        admit.job = job.id;
-        admit.k = job.k;
-        admit.interval = redo.interval;
-        durable(admit);
-        DurableEvent slo;
-        slo.kind = DurableEventKind::kSloUpdate;
-        slo.time = now;
-        slo.job = job.id;
-        slo.slo_class = static_cast<uint8_t>(job.slo_class);
-        slo.interval = job.reservation;
-        durable(slo);
-      }
-    }
-  };
-
   // Journals an epoch bump (WAL-first) and applies it to the control plane.
   auto fence_node = [&](NodeId node) {
-    if (persist != nullptr) {
-      DurableEvent bump;
-      bump.kind = DurableEventKind::kEpochBump;
-      bump.time = now;
-      bump.node = node;
-      bump.epoch = comms.fence_epoch(node) + 1;
-      durable(bump);
-    }
+    DurableEvent bump;
+    bump.kind = DurableEventKind::kEpochBump;
+    bump.time = now;
+    bump.node = node;
+    bump.epoch = comms.fence_epoch(node) + 1;
+    runtime.Journal(bump);
     comms.FenceNode(node);
   };
 
@@ -735,15 +461,15 @@ SimMetrics Simulator::Run() {
   // whose nodes each get a fence-epoch bump, so their agents reject any
   // command issued for the old incarnation of this placement.
   auto recall_gangs_on = [&](NodeId sus, const char* reason) {
-    for (auto it = running.begin(); it != running.end();) {
-      RunningJob& run = it->second;
-      if (std::find(run.nodes.begin(), run.nodes.end(), sus) ==
+    std::vector<JobId> victims;
+    for (const auto& [id, run] : runtime.running()) {
+      if (std::find(run.nodes.begin(), run.nodes.end(), sus) !=
           run.nodes.end()) {
-        ++it;
-        continue;
+        victims.push_back(id);
       }
-      JobId victim = it->first;
-      int i = index[victim];
+    }
+    for (JobId victim : victims) {
+      const RunningJob& run = runtime.running().at(victim);
       if (prov.enabled()) {
         ProvenanceRecord record;
         record.kind = ProvKind::kSuspected;
@@ -771,26 +497,19 @@ SimMetrics Simulator::Run() {
           orphaned.push_back(member);
         }
       }
-      if (!killed.empty()) {
-        ledger.Release(killed);
-        busy_nodes -= static_cast<int>(killed.size());
-      }
-      trace({now, TraceEventKind::kFailureKill, victim, sus,
-             static_cast<int32_t>(run.nodes.size())});
       if (!orphaned.empty()) {
         OrphanJob orphan;
         orphan.run = run;
         orphan.run.nodes = orphaned;
         orphan.run.counts = counts_of(orphaned);
-        orphan.intact = killed.empty() && broken.count(victim) == 0;
+        orphan.intact = killed.empty() && dead == broken.end();
         for (NodeId member : orphaned) {
           fence_node(member);
         }
         orphans[victim] = std::move(orphan);
       }
       broken.erase(victim);
-      it = running.erase(it);
-      requeue_after_kill(i, victim, sus);
+      runtime.Kill(victim, sus, now, std::move(killed));
     }
   };
 
@@ -811,8 +530,8 @@ SimMetrics Simulator::Run() {
         continue;
       }
       JobId id = it->first;
-      int i = index[id];
-      bool adoptable = orphan.intact && state[i] == JobState::kPending;
+      bool adoptable = orphan.intact && runtime.state(runtime.index_of(id)) ==
+                                            JobState::kPending;
       if (adoptable) {
         for (NodeId member : orphan.run.nodes) {
           if (!comms.node_up(member) || !comms.LinkUp(member, now)) {
@@ -834,54 +553,13 @@ SimMetrics Simulator::Run() {
           ++it;
           continue;  // retry next cycle; epochs unchanged
         }
-        RunningJob run = orphan.run;
+        RunningJob run = std::move(orphan.run);
         it = orphans.erase(it);
         for (NodeId member : run.nodes) {
           comms.AgentAdoptEpoch(member);
         }
         ++metrics.orphans_adopted;
-        state[i] = JobState::kRunning;
-        JobOutcome& outcome = metrics.outcomes[i];
-        if (last_kill[i] >= 0) {
-          SimDuration gap = now - last_kill[i];
-          outcome.recovery_latency += gap;
-          metrics.recovery_latency.Add(static_cast<double>(gap));
-          last_kill[i] = -1;
-        }
-        if (prov.enabled()) {
-          ProvenanceRecord record;
-          record.kind = ProvKind::kReconciled;
-          record.time = now;
-          record.job = id;
-          record.label = "adopted";
-          record.value = static_cast<double>(run.nodes.size());
-          record.detail = JsonObj()
-                              .Field("node", node)
-                              .Field("start", static_cast<int64_t>(run.start))
-                              .str();
-          prov.Record(std::move(record));
-        }
-        if (persist != nullptr) {
-          DurableEvent launch;
-          launch.kind = DurableEventKind::kGangLaunch;
-          launch.time = now;
-          launch.job = id;
-          launch.gang.job = id;
-          launch.gang.counts = run.counts;
-          launch.gang.start = run.start;
-          launch.gang.expected_end = run.expected_end;
-          launch.gang.est_duration = run.expected_end - run.start;
-          durable(launch);
-        }
-        if (run.actual_end <= now) {
-          // The copy finished while orphaned; the completion surfaces with
-          // the reconciliation (its report needed a reachable control
-          // plane). Requeue it at `now` — the stale-entry check accepts it
-          // because actual_end is rewritten to match.
-          run.actual_end = now;
-        }
-        completions.push({run.actual_end, id});
-        running[id] = std::move(run);
+        runtime.Adopt(id, std::move(run), now, node);
       } else {
         std::vector<NodeId> fenced;
         std::vector<NodeId> remaining;
@@ -896,7 +574,6 @@ SimMetrics Simulator::Run() {
         }
         if (!fenced.empty()) {
           ledger.Release(fenced);
-          busy_nodes -= static_cast<int>(fenced.size());
           metrics.fenced_tasks += static_cast<int>(fenced.size());
           orphan.intact = false;
           if (prov.enabled()) {
@@ -939,7 +616,7 @@ SimMetrics Simulator::Run() {
   // consequence of message loss.
   auto check_belief_invariants = [&]() {
     std::vector<int> owners(cluster_.num_nodes(), 0);
-    for (const auto& [id, run] : running) {
+    for (const auto& [id, run] : runtime.running()) {
       auto dead = broken.find(id);
       for (NodeId member : run.nodes) {
         if (dead != broken.end() && dead->second.count(member) != 0) {
@@ -968,13 +645,13 @@ SimMetrics Simulator::Run() {
     }
   };
 
-  while (outstanding > 0 && now <= config_.max_time) {
-    SimTime next_event = next_cycle;
+  // The policy's view, reused across cycles.
+  std::vector<const Job*> pending;
+  std::vector<RunningHold> holds;
+  while (runtime.open_jobs() > 0 && now <= config_.max_time) {
+    SimTime next_event = std::min(next_cycle, runtime.next_completion());
     if (next_arrival < n) {
       next_event = std::min(next_event, jobs_[next_arrival].submit);
-    }
-    if (!completions.empty()) {
-      next_event = std::min(next_event, completions.top().first);
     }
     if (next_failure < failures.size()) {
       next_event = std::min(next_event, failures[next_failure].at);
@@ -991,76 +668,11 @@ SimMetrics Simulator::Run() {
     now = next_event;
     advance_to(now);
 
-    // Arrivals.
+    // Arrivals: the runtime's job table is in submit order.
     while (next_arrival < n && jobs_[next_arrival].submit <= now) {
-      state[next_arrival] = JobState::kPending;
-      trace({now, TraceEventKind::kSubmit, jobs_[next_arrival].id});
-      if (prov.enabled()) {
-        const Job& job = jobs_[next_arrival];
-        ProvenanceRecord record;
-        record.kind = ProvKind::kArrival;
-        record.time = now;
-        record.job = job.id;
-        record.label = SloClassLabel(job.slo_class);
-        record.value = static_cast<double>(job.k);
-        record.detail = JsonObj()
-                            .Field("k", job.k)
-                            .Field("deadline", static_cast<int64_t>(job.deadline))
-                            .str();
-        prov.Record(std::move(record));
-      }
-      ++next_arrival;
+      runtime.Arrive(next_arrival++, now);
     }
-
-    // Completions.
-    while (!completions.empty() && completions.top().first <= now) {
-      auto [time, id] = completions.top();
-      completions.pop();
-      auto it = running.find(id);
-      if (it == running.end() || it->second.actual_end != time) {
-        continue;  // stale entry (job was preempted and rescheduled)
-      }
-      int i = index[id];
-      ledger.Release(it->second.nodes);
-      busy_nodes -= static_cast<int>(it->second.nodes.size());
-      if (config_.learn_estimates) {
-        estimator.Observe(jobs_[i], metrics.outcomes[i].preferred,
-                          time - it->second.start);
-      }
-      int released = static_cast<int>(it->second.nodes.size());
-      if (persist != nullptr) {
-        DurableEvent complete;
-        complete.kind = DurableEventKind::kGangComplete;
-        complete.time = time;
-        complete.job = id;
-        complete.preferred = metrics.outcomes[i].preferred;
-        complete.runtime = time - it->second.start;
-        durable(complete);
-      }
-      if (prov.enabled()) {
-        const Job& job = jobs_[i];
-        ProvenanceRecord record;
-        record.kind = ProvKind::kCompleted;
-        record.time = time;
-        record.job = id;
-        record.label = time <= job.deadline ? "met" : "late";
-        record.value = static_cast<double>(time - it->second.start);
-        record.detail =
-            JsonObj()
-                .Field("runtime", static_cast<int64_t>(time - it->second.start))
-                .Field("deadline", static_cast<int64_t>(job.deadline))
-                .Field("preferred", metrics.outcomes[i].preferred)
-                .str();
-        prov.Record(std::move(record));
-      }
-      running.erase(it);
-      state[i] = JobState::kCompleted;
-      metrics.outcomes[i].completed = true;
-      metrics.outcomes[i].completion = time;
-      trace({time, TraceEventKind::kComplete, id, -1, released});
-      sim_ins.jobs_completed->Increment();
-      --outstanding;
-    }
+    runtime.CompleteUntil(now);
 
     // Node recoveries before failures: a node recovering at exactly the
     // instant a later failure entry targets it must be back in circulation
@@ -1091,21 +703,12 @@ SimMetrics Simulator::Run() {
       if (!ledger.is_free(failure.node) && !lossy) {
         // Oracle path: the scheduler learns of the failure instantly and
         // kills + requeues the whole gang on the spot.
-        for (auto it = running.begin(); it != running.end(); ++it) {
-          auto& nodes = it->second.nodes;
-          if (std::find(nodes.begin(), nodes.end(), failure.node) ==
-              nodes.end()) {
-            continue;
+        for (const auto& [id, run] : runtime.running()) {
+          if (std::find(run.nodes.begin(), run.nodes.end(), failure.node) !=
+              run.nodes.end()) {
+            runtime.Kill(id, failure.node, now, run.nodes);
+            break;
           }
-          JobId victim = it->first;
-          int i = index[victim];
-          ledger.Release(nodes);
-          busy_nodes -= static_cast<int>(nodes.size());
-          trace({now, TraceEventKind::kFailureKill, victim, failure.node,
-                 static_cast<int32_t>(nodes.size())});
-          running.erase(it);
-          requeue_after_kill(i, victim, failure.node);
-          break;
         }
       } else if (!ledger.is_free(failure.node)) {
         // Lossy path: the scheduler notices nothing yet. The copy on the
@@ -1115,10 +718,9 @@ SimMetrics Simulator::Run() {
         // recalled only once the detector suspects the node or spots its
         // reboot. An orphan copy just shrinks.
         bool found = false;
-        for (auto& [id, run] : running) {
-          auto pos =
-              std::find(run.nodes.begin(), run.nodes.end(), failure.node);
-          if (pos == run.nodes.end()) {
+        for (const auto& [id, run] : runtime.running()) {
+          if (std::find(run.nodes.begin(), run.nodes.end(), failure.node) ==
+              run.nodes.end()) {
             continue;
           }
           auto dead = broken.find(id);
@@ -1127,8 +729,7 @@ SimMetrics Simulator::Run() {
           }
           broken[id].insert(failure.node);
           ledger.Release({failure.node});
-          --busy_nodes;
-          run.actual_end = kTimeNever;
+          runtime.find_running(id)->actual_end = kTimeNever;
           found = true;
           break;
         }
@@ -1142,7 +743,6 @@ SimMetrics Simulator::Run() {
             }
             run.nodes.erase(pos);
             ledger.Release({failure.node});
-            --busy_nodes;
             it->second.intact = false;
             if (run.nodes.empty()) {
               orphans.erase(it);
@@ -1234,64 +834,37 @@ SimMetrics Simulator::Run() {
       }
     }
 
-    // Build the policy's view.
-    std::vector<const Job*> pending;
-    for (int i = 0; i < n; ++i) {
-      if (state[i] != JobState::kPending) {
-        continue;
-      }
-      if (eligible_at[i] > now) {
-        continue;  // still backing off after a failure kill
-      }
-      if (config_.learn_estimates) {
-        jobs_[i].learned_estimate_preferred =
-            estimator.Predict(jobs_[i], /*preferred=*/true);
-        jobs_[i].learned_estimate_fallback =
-            estimator.Predict(jobs_[i], /*preferred=*/false);
-      }
-      pending.push_back(&jobs_[i]);
-    }
-    std::vector<RunningHold> holds;
-    holds.reserve(running.size() + failed_nodes.size());
-    // Failed nodes appear to policies as unpreemptible holds lasting until
-    // their recovery time. Under a lossy control plane the scheduler cannot
-    // see ground truth: the holds come from the detector's believed-down
-    // set instead (no recovery ETA — a suspicion carries none), so the
-    // policy may plan onto capacity that is actually gone (bounced at
-    // commit) and may ignore capacity that is actually fine.
+    // Build the policy's view. Failed nodes appear to policies as
+    // unpreemptible holds lasting until their recovery time. Under a lossy
+    // control plane the scheduler cannot see ground truth: the holds come
+    // from the detector's believed-down set instead (no recovery ETA — a
+    // suspicion carries none), so the policy may plan onto capacity that is
+    // actually gone (bounced at commit) and may ignore capacity that is
+    // actually fine.
+    pending.clear();
+    holds.clear();
+    auto hold_node = [&](NodeId node, SimTime until) {
+      RunningHold hold;
+      hold.job = -1000 - node;  // synthetic id, never matches a real job
+      hold.slo_class = SloClass::kSloAccepted;
+      hold.reservation_end = kTimeNever;
+      hold.counts[cluster_.partition_of(node)] = 1;
+      hold.expected_end = until;
+      holds.push_back(std::move(hold));
+    };
     if (!lossy) {
       for (const auto& [node, recover_at] : failed_nodes) {
-        RunningHold hold;
-        hold.job = -1000 - node;  // synthetic id, never matches a real job
-        hold.slo_class = SloClass::kSloAccepted;
-        hold.reservation_end = kTimeNever;
-        hold.counts[cluster_.partition_of(node)] = 1;
-        hold.expected_end = recover_at;
-        holds.push_back(std::move(hold));
+        hold_node(node, recover_at);
       }
     } else {
       const std::vector<char>& down = comms.believed_down_mask();
       for (NodeId node = 0; node < cluster_.num_nodes(); ++node) {
-        if (!down[node]) {
-          continue;
+        if (down[node]) {
+          hold_node(node, kTimeNever);
         }
-        RunningHold hold;
-        hold.job = -1000 - node;  // synthetic id, never matches a real job
-        hold.slo_class = SloClass::kSloAccepted;
-        hold.reservation_end = kTimeNever;
-        hold.counts[cluster_.partition_of(node)] = 1;
-        hold.expected_end = kTimeNever;
-        holds.push_back(std::move(hold));
       }
     }
-    for (const auto& [id, run] : running) {
-      const Job& job = jobs_[index[id]];
-      SimTime reservation_end = job.slo_class == SloClass::kSloAccepted
-                                    ? job.reservation.end
-                                    : kTimeNever;
-      holds.push_back({id, job.slo_class, run.start, reservation_end,
-                       run.counts, run.expected_end});
-    }
+    runtime.BuildView(now, &pending, &holds);
 
     try {
       // In-OnCycle crash phases fire from the span hook: the first entry
@@ -1330,8 +903,6 @@ SimMetrics Simulator::Run() {
                decision.stats.ladder_rung});
       }
       metrics.validator_violations += decision.stats.validator_rejects;
-      sim_ins.validator_violations->Increment(
-          decision.stats.validator_rejects);
       if (decision.stats.budget_blown) {
         ++metrics.budget_blown_cycles;
       }
@@ -1340,312 +911,8 @@ SimMetrics Simulator::Run() {
       }
       metrics.certifier_rejects += decision.stats.certifier_rejects;
 
-      // Two-phase commit (DESIGN.md §11): journal the cycle's full intent
-      // before any cluster mutation, journal each mutation after it lands,
-      // and close with kCommitApplied carrying the policy's durable state.
-      // A crash anywhere in between leaves an open intent that recovery
-      // reconciles against what actually reached the cluster.
-      if (persist != nullptr) {
-        DurableEvent intent;
-        intent.kind = DurableEventKind::kCommitIntent;
-        intent.time = now;
-        for (const Placement& placement : decision.start_now) {
-          GangRecord gang;
-          gang.job = placement.job;
-          gang.counts = placement.counts;
-          gang.start = now;
-          gang.expected_end = now + placement.est_duration;
-          gang.est_duration = placement.est_duration;
-          intent.gangs.push_back(std::move(gang));
-        }
-        intent.drops = decision.drop;
-        intent.preempts = decision.preempt;
-        durable(intent);
-      }
-      if (crash != nullptr && crash->phase == CrashPhase::kCommitIntent) {
-        throw SchedulerCrashSignal{};
-      }
-
-      // Preemptions first (they free capacity the placements may rely on).
-      for (JobId id : decision.preempt) {
-        auto it = running.find(id);
-        if (it == running.end()) {
-          continue;
-        }
-        int i = index[id];
-        ledger.Release(it->second.nodes);
-        busy_nodes -= static_cast<int>(it->second.nodes.size());
-        trace({now, TraceEventKind::kPreempt, id, -1,
-               static_cast<int32_t>(it->second.nodes.size())});
-        running.erase(it);
-        state[i] = JobState::kPending;  // restarts from scratch
-        ++metrics.outcomes[i].preemptions;
-        ++metrics.preemptions;
-        sim_ins.preemptions->Increment();
-        if (prov.enabled()) {
-          ProvenanceRecord record;
-          record.kind = ProvKind::kPreempted;
-          record.time = now;
-          record.job = id;
-          record.label = "policy-preempt";
-          record.value = static_cast<double>(metrics.outcomes[i].preemptions);
-          prov.Record(std::move(record));
-        }
-        if (persist != nullptr) {
-          DurableEvent preempt;
-          preempt.kind = DurableEventKind::kGangPreempt;
-          preempt.time = now;
-          preempt.job = id;
-          durable(preempt);
-        }
-      }
-
-      for (JobId id : decision.drop) {
-        auto it = index.find(id);
-        if (it == index.end() || state[it->second] != JobState::kPending) {
-          continue;
-        }
-        state[it->second] = JobState::kDropped;
-        metrics.outcomes[it->second].dropped = true;
-        trace({now, TraceEventKind::kDrop, id});
-        sim_ins.jobs_dropped->Increment();
-        if (prov.enabled()) {
-          ProvenanceRecord record;
-          record.kind = ProvKind::kDropped;
-          record.time = now;
-          record.job = id;
-          record.label = "culled";
-          prov.Record(std::move(record));
-        }
-        --outstanding;
-        if (persist != nullptr) {
-          DurableEvent drop;
-          drop.kind = DurableEventKind::kJobDropped;
-          drop.time = now;
-          drop.job = id;
-          durable(drop);
-        }
-      }
-
-      bool first_placement = true;
-      for (const Placement& placement : decision.start_now) {
-        // Last line of defense: the scheduler's own ValidatePlan should have
-        // caught malformed placements, but a buggy policy must never corrupt
-        // the ledger — reject the placement, count it, and keep running.
-        auto reject = [&](const char* why) {
-          ++metrics.validator_violations;
-          sim_ins.validator_violations->Increment();
-          trace({now, TraceEventKind::kPlanReject, placement.job});
-          TETRI_LOG(kWarning) << "rejected placement of job " << placement.job
-                              << ": " << why;
-        };
-        auto it = index.find(placement.job);
-        if (it == index.end()) {
-          reject("unknown job id");
-          continue;
-        }
-        int i = it->second;
-        if (state[i] != JobState::kPending) {
-          reject("job is not pending");
-          continue;
-        }
-        const Job& job = jobs_[i];
-        // Availability-type jobs may legitimately place fewer tasks than k
-        // (one per rack); everything else is an exact gang.
-        if (placement.total_nodes() < 1 || placement.total_nodes() > job.k) {
-          reject("gang size out of range");
-          continue;
-        }
-        // A plan the scheduler built against a stale believed view is not a
-        // policy bug: ground truth refuses it (the gang stays pending and is
-        // replanned next cycle) without charging the validator.
-        auto bounce = [&](const char* why) {
-          ++metrics.stale_placement_bounces;
-          trace({now, TraceEventKind::kPlanReject, placement.job});
-          if (prov.enabled()) {
-            ProvenanceRecord record;
-            record.kind = ProvKind::kRejected;
-            record.time = now;
-            record.job = placement.job;
-            record.label = "stale-view";
-            record.detail = JsonObj().Field("why", why).str();
-            prov.Record(std::move(record));
-          }
-        };
-        bool fits = true;
-        bool stale = false;
-        for (const auto& [partition, count] : placement.counts) {
-          if (partition < 0 || partition >= cluster_.num_partitions() ||
-              count < 0) {
-            fits = false;
-            break;
-          }
-          if (!lossy) {
-            if (count > ledger.free_in_partition(partition)) {
-              fits = false;
-              break;
-            }
-          } else if (count > ledger.FreeAvoiding(
-                                 partition, comms.believed_down_mask())) {
-            // Physically impossible (or only satisfiable by placing onto
-            // believed-down nodes): the believed view was stale.
-            stale = true;
-            break;
-          }
-        }
-        if (!fits) {
-          reject("exceeds free partition capacity");
-          continue;
-        }
-        if (stale) {
-          bounce("capacity");
-          continue;
-        }
-
-        RunningJob run;
-        run.counts = placement.counts;
-        if (!lossy) {
-          for (const auto& [partition, count] : placement.counts) {
-            std::vector<NodeId> nodes = ledger.Acquire(partition, count);
-            run.nodes.insert(run.nodes.end(), nodes.begin(), nodes.end());
-          }
-        } else {
-          bool short_take = false;
-          for (const auto& [partition, count] : placement.counts) {
-            std::vector<NodeId> nodes = ledger.AcquireAvoiding(
-                partition, count, comms.believed_down_mask());
-            run.nodes.insert(run.nodes.end(), nodes.begin(), nodes.end());
-            if (static_cast<int>(nodes.size()) < count) {
-              short_take = true;
-              break;
-            }
-          }
-          if (short_take) {
-            ledger.Release(run.nodes);
-            bounce("short-take");
-            continue;
-          }
-          // The launch command must reach every member or none: a partial
-          // gang is never started. A lost command aborts the whole launch
-          // (the agent-side slots are released; the gang retries next
-          // cycle).
-          bool delivered = true;
-          for (NodeId member : run.nodes) {
-            if (!comms.DeliverCommand(member, now)) {
-              delivered = false;
-              break;
-            }
-          }
-          if (!delivered) {
-            ledger.Release(run.nodes);
-            bounce("command-lost");
-            continue;
-          }
-          // Delivered placement commands carry the current fence epoch;
-          // accepting one adopts it.
-          for (NodeId member : run.nodes) {
-            comms.AgentAdoptEpoch(member);
-          }
-        }
-        busy_nodes += static_cast<int>(run.nodes.size());
-
-        // Ground truth runtime from the *actual* placement quality,
-        // stretched by any fail-slow episode active on the gang's nodes at
-        // start.
-        bool preferred = IsPreferredPlacement(cluster_, job, run.counts);
-        SimDuration actual = job.ActualRuntime(preferred);
-        double slow = straggle_factor(run.nodes);
-        if (slow > 1.0) {
-          actual = static_cast<SimDuration>(
-              std::llround(static_cast<double>(actual) * slow));
-          ++metrics.straggler_slowed_starts;
-        }
-        run.start = now;
-        run.actual_end = now + actual;
-        run.expected_end = now + placement.est_duration;
-        completions.push({run.actual_end, job.id});
-        running[job.id] = std::move(run);
-
-        state[i] = JobState::kRunning;
-        trace({now, TraceEventKind::kStart, job.id, -1,
-               placement.total_nodes()});
-        JobOutcome& outcome = metrics.outcomes[i];
-        outcome.started = true;
-        if (outcome.start_time < 0) {
-          outcome.start_time = now;
-        }
-        if (last_kill[i] >= 0) {
-          SimDuration gap = now - last_kill[i];
-          outcome.recovery_latency += gap;
-          metrics.recovery_latency.Add(static_cast<double>(gap));
-          last_kill[i] = -1;
-        }
-        outcome.preferred = preferred;
-        outcome.placement = placement.counts;
-        if (prov.enabled()) {
-          // Ground-truth placement quality (the scheduler only ever saw
-          // estimates); this is what SLO-miss attribution keys on.
-          ProvenanceRecord record;
-          record.kind = ProvKind::kStart;
-          record.time = now;
-          record.job = job.id;
-          record.label = preferred ? "preferred" : "fallback";
-          record.value = static_cast<double>(placement.total_nodes());
-          record.detail =
-              JsonObj()
-                  .Field("nodes", placement.total_nodes())
-                  .Field("est_duration",
-                         static_cast<int64_t>(placement.est_duration))
-                  .Field("actual_runtime", static_cast<int64_t>(actual))
-                  .Field("straggler_factor", slow)
-                  .str();
-          prov.Record(std::move(record));
-        }
-
-        if (first_placement) {
-          first_placement = false;
-          // kMidCommit: the cluster mutation landed but its kGangLaunch
-          // record did not — recovery must adopt this gang from the open
-          // commit intent.
-          if (crash != nullptr && crash->phase == CrashPhase::kMidCommit) {
-            throw SchedulerCrashSignal{};
-          }
-        }
-        if (persist != nullptr) {
-          DurableEvent launch;
-          launch.kind = DurableEventKind::kGangLaunch;
-          launch.time = now;
-          launch.job = job.id;
-          launch.gang.job = job.id;
-          launch.gang.counts = placement.counts;
-          launch.gang.start = now;
-          launch.gang.expected_end = now + placement.est_duration;
-          launch.gang.est_duration = placement.est_duration;
-          durable(launch);
-        }
-      }
-
-      if (crash != nullptr && crash->phase == CrashPhase::kMidCommit &&
-          first_placement) {
-        // Nothing was placed this cycle, so no launch fired the crash; it
-        // still lands inside the commit window, before kCommitApplied.
-        throw SchedulerCrashSignal{};
-      }
-
-      if (persist != nullptr) {
-        // kCommitApplied closes the cycle even when nothing was placed, so
-        // a stale warm-start blob never outlives the cycle that cleared it.
-        DurableEvent applied;
-        applied.kind = DurableEventKind::kCommitApplied;
-        applied.time = now;
-        applied.blob = policy->ExportDurableState();
-        durable(applied);
-        image.checkpoint_time = now;
-        persist->MaybeCheckpoint(image);
-      }
-      if (crash != nullptr && crash->phase == CrashPhase::kAfterCommit) {
-        throw SchedulerCrashSignal{};
-      }
+      hook.crash = crash;
+      runtime.Commit(now, decision, *policy, hook);
     } catch (const SchedulerCrashSignal&) {
       // The cycle died mid-flight. Ground-truth mutations that already
       // landed stand; recovery rebuilds the RM view around them, and the
@@ -1653,15 +920,32 @@ SimMetrics Simulator::Run() {
       recover_scheduler(crash != nullptr ? crash->phase
                                          : CrashPhase::kBeforeCycle);
     }
+    hook.crash = nullptr;
     if (lossy) {
       check_belief_invariants();
     }
   }
 
   if (now > config_.max_time) {
-    TETRI_LOG(kWarning) << "simulation hit max_time with " << outstanding
-                        << " jobs outstanding";
+    TETRI_LOG(kWarning) << "simulation hit max_time with "
+                        << runtime.open_jobs() << " jobs outstanding";
   }
+  const RuntimeCounters& rc = runtime.counters();
+  metrics.preemptions = rc.preemptions;
+  metrics.failure_kills = rc.failure_kills;
+  metrics.retries_exhausted = rc.retries_exhausted;
+  metrics.readmissions = rc.readmissions;
+  metrics.reservations_dropped = rc.reservations_dropped;
+  metrics.stale_placement_bounces = rc.stale_placement_bounces;
+  metrics.recovery_latency = rc.recovery_latency;
+  metrics.validator_violations += rc.validator_violations;
+  metrics.outcomes = runtime.TakeOutcomes();
+  sim_ins.validator_violations->Increment(metrics.validator_violations);
+  sim_ins.failure_kills->Increment(rc.failure_kills);
+  sim_ins.preemptions->Increment(rc.preemptions);
+  sim_ins.retries_exhausted->Increment(rc.retries_exhausted);
+  sim_ins.jobs_completed->Increment(runtime.count(JobState::kCompleted));
+  sim_ins.jobs_dropped->Increment(runtime.count(JobState::kDropped));
   if (lossy) {
     const ControlPlane::Counters& cc = comms.counters();
     metrics.suspicions = static_cast<int>(cc.suspicions);

@@ -26,6 +26,7 @@
 #include "src/core/policy.h"
 #include "src/persist/persist.h"
 #include "src/rayon/rayon.h"
+#include "src/runtime/cluster_runtime.h"
 #include "src/sim/comms.h"
 #include "src/sim/faults.h"
 #include "src/sim/trace.h"
@@ -113,51 +114,6 @@ struct SimConfig {
   std::string provenance_jsonl_path;
   // Ring capacity override; 0 = TETRISCHED_PROVENANCE_RING (default 65536).
   size_t provenance_ring = 0;
-};
-
-// True placement quality: does this partition-count assignment satisfy the
-// job's preference (GPU nodes only / single rack / the job's own data
-// partitions / anything)?
-bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
-                          const std::map<PartitionId, int>& counts);
-
-// Runs every reservation-seeking job through Rayon admission (in submit
-// order, with conservative fallback-runtime estimates), setting slo_class
-// and reservation on each job. Returns the number accepted. When `rayon`
-// is provided the admission runs against it (so the same agenda can later
-// serve SimConfig::rayon re-admission); otherwise a throwaway agenda is
-// used.
-int ApplyAdmission(const Cluster& cluster, std::vector<Job>& jobs,
-                   RayonAdmission* rayon = nullptr);
-
-struct JobOutcome {
-  JobId id = -1;
-  SloClass slo_class = SloClass::kBestEffort;
-  JobType type = JobType::kUnconstrained;
-  SimTime submit = 0;
-  SimTime deadline = kTimeNever;
-  bool started = false;
-  bool completed = false;
-  bool dropped = false;
-  SimTime start_time = -1;
-  SimTime completion = -1;
-  bool preferred = false;  // actual placement quality at completion
-  // Final placement (partition -> node count); empty if never started.
-  std::map<PartitionId, int> placement;
-  int preemptions = 0;
-  // Churn bookkeeping: failure-kill restarts, total time spent between a
-  // kill and the subsequent restart, reservation re-admissions after a
-  // kill, and whether the reservation was ultimately dropped (downgrade to
-  // unreserved). slo_class above stays the admission-time class.
-  int retries = 0;
-  SimDuration recovery_latency = 0;
-  int readmissions = 0;
-  bool reservation_dropped = false;
-
-  bool MetDeadline() const {
-    return completed && completion <= deadline;
-  }
-  bool is_slo() const { return slo_class != SloClass::kBestEffort; }
 };
 
 struct SimMetrics {

@@ -15,6 +15,8 @@
 #include "src/client/client.h"
 #include "src/net/socket.h"
 #include "src/persist/journal.h"
+#include "src/persist/records.h"
+#include "src/runtime/cluster_runtime.h"
 #include "src/service/daemon.h"
 #include "src/service/signals.h"
 
@@ -375,6 +377,61 @@ TEST(ServiceEndToEndTest, FreshJournalDaemonAcceptsReservations) {
   ASSERT_TRUE(status.ok) << status.error;
   EXPECT_EQ(status.body.StringOr("slo_class", ""), "slo-accepted");
   harness.Stop();
+}
+
+// The daemon reserves the interval the simulator's ApplyAdmission reserves
+// for the same job: one request for the preferred-placement estimate (here
+// half the fallback runtime), windowed from the admission instant.
+TEST(ServiceEndToEndTest, ReservesTheIntervalApplyAdmissionReserves) {
+  MemoryJournalStorage storage;
+  DaemonOptions options = FastOptions();
+  options.storage = &storage;
+  int64_t job_id = -1;
+  int64_t deadline = -1;
+  {
+    DaemonHarness harness(options);
+    ASSERT_TRUE(harness.Start());
+    ServiceClient client = harness.Connect("reserve-match");
+    JsonObj spec;
+    spec.Field("type", "gpu");
+    spec.Field("k", static_cast<int64_t>(2));
+    spec.Field("runtime", static_cast<int64_t>(40));
+    spec.Field("slowdown", 2.0);
+    spec.Field("reservation", true);
+    spec.Field("deadline_in", static_cast<int64_t>(400));
+    ServiceReply submit = client.SubmitSpec(spec);
+    ASSERT_TRUE(submit.ok) << submit.error;
+    job_id = submit.body.IntOr("job", -1);
+    ASSERT_TRUE(harness.WaitFor(
+        [](const DaemonStatus& status) { return status.completed >= 1; }));
+    ServiceReply status = client.StatusOf(job_id);
+    ASSERT_TRUE(status.ok) << status.error;
+    EXPECT_EQ(status.body.StringOr("slo_class", ""), "slo-accepted");
+    deadline = status.body.IntOr("deadline", -1);
+    harness.Stop();
+  }
+  RecoveredState image;
+  ASSERT_TRUE(DecodeSnapshot(storage.ReadSnapshot(), &image));
+  ASSERT_EQ(image.slo.count(job_id), 1u);
+  const TimeRange reserved = image.slo[job_id].reservation;
+
+  // The same job, submitted to the simulator's admission at the instant the
+  // daemon admitted it (an empty agenda reserves from the window start).
+  Job job;
+  job.id = job_id;
+  job.type = JobType::kGpu;
+  job.k = 2;
+  job.actual_runtime = 40;
+  job.slowdown = 2.0;
+  job.wants_reservation = true;
+  job.deadline = deadline;
+  job.submit = reserved.start;
+  std::vector<Job> jobs{job};
+  Cluster cluster = MakeUniformCluster(options.racks, options.nodes_per_rack,
+                                       options.gpu_racks);
+  ASSERT_EQ(ApplyAdmission(cluster, jobs), 1);
+  EXPECT_EQ(jobs[0].reservation, reserved);
+  EXPECT_EQ(reserved.end - reserved.start, 40);
 }
 
 // STRL text submissions round-trip through the parser and schedule.
