@@ -11,35 +11,27 @@
 namespace tetrisched {
 
 const char* ToString(JobState state) {
-  switch (state) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kPending:
-      return "pending";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kCompleted:
-      return "completed";
-    case JobState::kDropped:
-      return "dropped";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
+  static constexpr const char* kNames[kNumJobStates] = {
+      "queued", "pending", "running", "completed", "dropped", "cancelled"};
+  return kNames[static_cast<int>(state)];
 }
 
 bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
                           const std::map<PartitionId, int>& counts) {
+  // Every partition the gang uses must satisfy `ok`.
+  auto all_used = [&counts](auto ok) {
+    return std::all_of(counts.begin(), counts.end(), [&ok](const auto& entry) {
+      return entry.second == 0 || ok(entry.first);
+    });
+  };
   switch (job.type) {
     case JobType::kUnconstrained:
+    case JobType::kAvailability:
       return true;
     case JobType::kGpu:
-      for (const auto& [partition, count] : counts) {
-        if (count > 0 && !cluster.partition(partition).has_gpu) {
-          return false;
-        }
-      }
-      return true;
+      return all_used([&cluster](PartitionId p) {
+        return cluster.partition(p).has_gpu;
+      });
     case JobType::kMpi: {
       RackId rack = -1;
       for (const auto& [partition, count] : counts) {
@@ -55,18 +47,12 @@ bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
       }
       return true;
     }
-    case JobType::kAvailability:
-      return true;
     case JobType::kDataLocal:
-      for (const auto& [partition, count] : counts) {
-        if (count > 0 &&
-            std::find(job.preferred_partitions.begin(),
-                      job.preferred_partitions.end(),
-                      partition) == job.preferred_partitions.end()) {
-          return false;
-        }
-      }
-      return true;
+      return all_used([&job](PartitionId p) {
+        return std::find(job.preferred_partitions.begin(),
+                         job.preferred_partitions.end(),
+                         p) != job.preferred_partitions.end();
+      });
   }
   return true;
 }
@@ -150,13 +136,7 @@ DurableEvent SloUpdate(SimTime time, const Job& job) {
 
 GangRecord ToGang(JobId job, const std::map<PartitionId, int>& counts,
                   SimTime start, SimTime expected_end) {
-  GangRecord gang;
-  gang.job = job;
-  gang.counts = counts;
-  gang.start = start;
-  gang.expected_end = expected_end;
-  gang.est_duration = expected_end - start;
-  return gang;
+  return {job, counts, start, expected_end, expected_end - start};
 }
 
 }  // namespace
@@ -333,20 +313,15 @@ void ClusterRuntime::Drop(int i, SimTime now, JobState state,
 }
 
 bool ClusterRuntime::Cancel(int i, SimTime now) {
-  switch (state(i)) {
-    case JobState::kRunning: {
-      auto it = running_.find(jobs_[i].id);
-      ledger_.Release(it->second.nodes);
-      running_.erase(it);
-      break;
-    }
-    case JobState::kQueued:
-    case JobState::kPending:
-      break;
-    case JobState::kCompleted:
-    case JobState::kDropped:
-    case JobState::kCancelled:
-      return false;
+  const JobState from = state(i);
+  if (from != JobState::kQueued && from != JobState::kPending &&
+      from != JobState::kRunning) {
+    return false;  // already finished
+  }
+  if (from == JobState::kRunning) {
+    auto it = running_.find(jobs_[i].id);
+    ledger_.Release(it->second.nodes);
+    running_.erase(it);
   }
   Drop(i, now, JobState::kCancelled, "client cancel");
   return true;
@@ -448,6 +423,37 @@ void ClusterRuntime::Launch(int i, RunningJob run, SimTime now) {
     counters_.recovery_latency.Add(static_cast<double>(gap));
     slot.last_kill = -1;
   }
+}
+
+SimDuration ClusterRuntime::Start(int i, RunningJob run, double slow,
+                                  SimTime now) {
+  // Ground truth: the runtime follows the *actual* placement quality.
+  const Job& job = jobs_[i];
+  const bool preferred = IsPreferredPlacement(cluster_, job, run.counts);
+  SimDuration actual = job.ActualRuntime(preferred);
+  if (slow > 1.0) {
+    actual = static_cast<SimDuration>(
+        std::llround(static_cast<double>(actual) * slow));
+  }
+  run.actual_end = run.start + actual;
+  JobOutcome& outcome = outcomes_[i];
+  outcome.started = true;
+  if (outcome.start_time < 0) {
+    outcome.start_time = run.start;
+  }
+  outcome.preferred = preferred;
+  outcome.placement = run.counts;
+  Launch(i, std::move(run), now);
+  return actual;
+}
+
+bool ClusterRuntime::InRange(const std::map<PartitionId, int>& counts) const {
+  for (const auto& [partition, count] : counts) {
+    if (partition < 0 || partition >= cluster_.num_partitions() || count < 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void ClusterRuntime::Adopt(JobId id, RunningJob run, SimTime now,
@@ -555,15 +561,7 @@ void ClusterRuntime::Commit(SimTime now,
       refuse("gang size out of range");
       continue;
     }
-    bool in_range = true;
-    for (const auto& [partition, count] : placement.counts) {
-      if (partition < 0 || partition >= cluster_.num_partitions() ||
-          count < 0) {
-        in_range = false;
-        break;
-      }
-    }
-    if (!in_range) {
+    if (!InRange(placement.counts)) {
       refuse("partition out of range");
       continue;
     }
@@ -591,28 +589,13 @@ void ClusterRuntime::Commit(SimTime now,
         continue;
     }
 
-    // Ground-truth runtime from the *actual* placement quality, stretched
-    // by the hook (a fail-slow episode on the gang's nodes at start).
-    run.counts = placement.counts;
-    const bool preferred = IsPreferredPlacement(cluster_, job, run.counts);
-    SimDuration actual = job.ActualRuntime(preferred);
+    // The hook stretches the runtime of a gang started on a fail-slow node.
     const double slow = hook.Slowdown(run.nodes);
-    if (slow > 1.0) {
-      actual = static_cast<SimDuration>(
-          std::llround(static_cast<double>(actual) * slow));
-    }
+    run.counts = placement.counts;
     run.start = now;
-    run.actual_end = now + actual;
     run.expected_end = now + placement.est_duration;
-    Launch(i, std::move(run), now);
+    const SimDuration actual = Start(i, std::move(run), slow, now);
     Trace({now, TraceEventKind::kStart, job.id, -1, placement.total_nodes()});
-    JobOutcome& outcome = outcomes_[i];
-    outcome.started = true;
-    if (outcome.start_time < 0) {
-      outcome.start_time = now;
-    }
-    outcome.preferred = preferred;
-    outcome.placement = placement.counts;
     if (prov.enabled()) {
       // Ground-truth placement quality (the scheduler only ever saw
       // estimates); this is what SLO-miss attribution keys on.
@@ -621,7 +604,7 @@ void ClusterRuntime::Commit(SimTime now,
            .time = now,
            .job = job.id,
            .value = static_cast<double>(placement.total_nodes()),
-           .label = preferred ? "preferred" : "fallback",
+           .label = outcomes_[i].preferred ? "preferred" : "fallback",
            .detail = JsonObj()
                          .Field("nodes", placement.total_nodes())
                          .Field("est_duration",
@@ -701,14 +684,10 @@ void ClusterRuntime::CheckpointInitial(const SchedulerPolicy& policy) {
   if (params_.persist == nullptr) {
     return;
   }
+  // SLO classes need no seed: the job table outlives a scheduler crash, and
+  // every later change to a class is journaled (kSloUpdate).
   if (params_.rayon != nullptr) {
     image_.rayon = params_.rayon->ExportState();
-  }
-  for (const Job& job : jobs_) {
-    if (job.slo_class != SloClass::kBestEffort || job.wants_reservation) {
-      image_.slo[job.id] = SloRecord{
-          job.id, static_cast<uint8_t>(job.slo_class), job.reservation};
-    }
   }
   image_.policy_state = policy.ExportDurableState();
   params_.persist->Checkpoint(image_);
@@ -756,13 +735,9 @@ void ClusterRuntime::RestoreSchedulerState(const RecoveredState& state) {
   }
 }
 
-ClusterRuntime::Recovery ClusterRuntime::RecoverAfterCrash(SimTime now) {
+RecoveryResult ClusterRuntime::RecoverAfterCrash(SimTime now) {
   RecoveryResult result = params_.persist->Recover();
-  RecoveredState st = std::move(result.state);
-  Recovery recovery;
-  recovery.replayed = result.replayed;
-  recovery.dropped = result.dropped;
-  recovery.snapshot_loaded = result.snapshot_loaded;
+  RecoveredState& st = result.state;
   RestoreSchedulerState(st);
   // Reconcile the recovered view against the running set, which is cluster
   // ground truth and survived the crash. A gang the cluster runs but the
@@ -772,92 +747,73 @@ ClusterRuntime::Recovery ClusterRuntime::RecoverAfterCrash(SimTime now) {
     if (st.running.count(id) != 0) {
       continue;
     }
-    GangRecord gang;
-    bool adopted = false;
-    if (st.pending_intent.has_value()) {
-      for (const GangRecord& g : st.pending_intent->gangs) {
-        if (g.job == id) {
-          gang = g;
-          adopted = true;
-          break;
-        }
-      }
-    }
-    if (adopted) {
-      ++recovery.adoptions;
+    const std::vector<GangRecord> none;
+    const std::vector<GangRecord>& intended =
+        st.pending_intent.has_value() ? st.pending_intent->gangs : none;
+    auto gang = std::find_if(intended.begin(), intended.end(),
+                             [id](const GangRecord& g) { return g.job == id; });
+    if (gang != intended.end()) {
+      ++counters_.recovery_adoptions;
+      st.running[id] = *gang;
     } else {
-      ++recovery.mismatches;
+      ++counters_.recovery_mismatches;
       TETRI_LOG(kWarning)
           << "recovery: adopting unjournaled running gang of job " << id
           << " from cluster ground truth";
-      gang = ToGang(id, run.counts, run.start, run.expected_end);
-    }
-    st.running[id] = std::move(gang);
-  }
-  for (auto it = st.running.begin(); it != st.running.end();) {
-    if (running_.count(it->first) == 0) {
-      ++recovery.mismatches;
-      TETRI_LOG(kWarning) << "recovery: journal believes job " << it->first
-                          << " is running but the cluster does not";
-      it = st.running.erase(it);
-    } else {
-      ++it;
+      st.running[id] = ToGang(id, run.counts, run.start, run.expected_end);
     }
   }
+  std::erase_if(st.running, [this](const auto& entry) {
+    if (running_.count(entry.first) != 0) {
+      return false;
+    }
+    ++counters_.recovery_mismatches;
+    TETRI_LOG(kWarning) << "recovery: journal believes job " << entry.first
+                        << " is running but the cluster does not";
+    return true;
+  });
   st.pending_intent.reset();
   // The reconciled image is the new checkpoint; the journal restarts
   // empty, so a crash during recovery replays to the same state.
   image_ = std::move(st);
   Checkpoint(now);
-  return recovery;
+  return result;
 }
 
 std::pair<int, int> ClusterRuntime::Resume(RecoveredState state) {
   RestoreSchedulerState(state);
+  LaunchHook ledger_only;
   int pending = 0;
   int running = 0;
   for (int i = 0; i < num_jobs(); ++i) {
     if (slots_[i].state != JobState::kQueued) {
       continue;
     }
-    const Job& job = jobs_[i];
-    auto gang = state.running.find(job.id);
-    bool fits = gang != state.running.end();
-    if (fits) {
-      for (const auto& [partition, count] : gang->second.counts) {
-        if (partition < 0 || partition >= cluster_.num_partitions() ||
-            count < 0 || count > ledger_.free_in_partition(partition)) {
-          fits = false;
-          TETRI_LOG(kWarning) << "resume: journaled gang of job " << job.id
-                              << " does not fit; requeueing it";
-          break;
-        }
+    // Adopt the journaled gang: running work outlives the scheduler
+    // process, as in the paper's YARN deployment.
+    auto gang = state.running.find(jobs_[i].id);
+    Placement placement;
+    RunningJob run;
+    const char* why = "";
+    if (gang != state.running.end()) {
+      placement.counts = gang->second.counts;
+      if (!InRange(placement.counts) ||
+          ledger_only.Acquire(0, placement, ledger_, &run.nodes, &why) !=
+              LaunchHook::Verdict::kLaunched) {
+        TETRI_LOG(kWarning) << "resume: journaled gang of job "
+                            << jobs_[i].id << " does not fit; requeueing it";
+        gang = state.running.end();
       }
     }
-    if (!fits) {
+    if (gang == state.running.end()) {
       SetState(i, JobState::kPending);
       ++pending;
       continue;
     }
-    // Adopt the journaled gang: running work outlives the scheduler
-    // process, as in the paper's YARN deployment.
-    RunningJob run;
-    run.counts = gang->second.counts;
-    for (const auto& [partition, count] : run.counts) {
-      std::vector<NodeId> taken = ledger_.Acquire(partition, count);
-      run.nodes.insert(run.nodes.end(), taken.begin(), taken.end());
-    }
-    const bool preferred = IsPreferredPlacement(cluster_, job, run.counts);
+    run.counts = placement.counts;
     run.start = gang->second.start;
     run.expected_end = gang->second.expected_end;
-    run.actual_end = run.start + job.ActualRuntime(preferred);
-    JobOutcome& outcome = outcomes_[i];
-    outcome.started = true;
-    outcome.start_time = run.start;
-    outcome.preferred = preferred;
-    outcome.placement = run.counts;
-    const SimTime start = run.start;
-    Launch(i, std::move(run), start);
+    Start(i, std::move(run), 1.0, gang->second.start);
     ++running;
   }
   image_ = std::move(state);

@@ -1,27 +1,13 @@
 // ClusterRuntime: the one job lifecycle shared by the simulator and
-// tetrischedd (DESIGN.md §17).
-//
-// The runtime owns everything between a job entering the system and
-// leaving it:
-//   * the job table, dense-indexed in the order jobs were added, with each
-//     job's state, retry/backoff state and outcome;
-//   * the NodeLedger and the running set, with a completion queue ordered
-//     by actual end (ground truth, not the scheduler's estimate);
-//   * Rayon admission and post-kill re-admission, all through Reserve();
-//   * the two-phase commit journal (kCommitIntent -> kGangLaunch ->
-//     kCommitApplied, DESIGN.md §11) and its shadow checkpoint image: every
-//     append is mirrored through ApplyEvent, so the image is exactly what
-//     Recover() would rebuild and can be checkpointed at any point;
-//   * the complete / drop / cancel / preempt / kill-requeue transitions,
-//     with their provenance records and trace events;
-//   * the policy's view: the pending jobs and the running holds.
-//
-// A driver keeps its clock and its faults and calls the runtime at its
-// own cadence. The simulator drives it from a virtual-clock event queue
-// with fault, straggler, control-plane and crash injection; tetrischedd
-// drives it from a real-clock serving loop. What differs between a
-// simulated and a served launch (lossy delivery, stragglers, crash points
-// inside the commit) reaches the runtime through one LaunchHook.
+// tetrischedd (DESIGN.md §17). It owns the job table (dense-indexed in the
+// order jobs were added), the NodeLedger and running set with a completion
+// queue ordered by actual end, Rayon admission, the two-phase commit
+// journal with its shadow checkpoint image (every append mirrored through
+// ApplyEvent), the complete / drop / cancel / preempt / kill-requeue
+// transitions with their provenance records and trace events, and the
+// policy's view. A driver keeps its clock and its faults; what differs
+// between a simulated and a served launch reaches the runtime through one
+// LaunchHook.
 
 #ifndef TETRISCHED_RUNTIME_CLUSTER_RUNTIME_H_
 #define TETRISCHED_RUNTIME_CLUSTER_RUNTIME_H_
@@ -173,6 +159,8 @@ struct RuntimeCounters {
   int reservations_dropped = 0;
   int validator_violations = 0;  // placements the ledger check refused
   int stale_placement_bounces = 0;
+  int recovery_adoptions = 0;   // running gangs adopted from an open intent
+  int recovery_mismatches = 0;  // journal vs running-set conflicts
   SampleStats recovery_latency;  // kill -> restart gap per retry (s)
 };
 
@@ -252,18 +240,11 @@ class ClusterRuntime {
   void Checkpoint(SimTime now);
   const RecoveredState& image() const { return image_; }
 
-  struct Recovery {
-    int replayed = 0;
-    int dropped = 0;
-    bool snapshot_loaded = false;
-    int adoptions = 0;   // running gangs adopted from an open intent
-    int mismatches = 0;  // journal vs running-set conflicts
-  };
   // The scheduler process died but the cluster did not: rebuild Rayon, SLO
   // classes, retry state and the estimator from the journal, reconcile the
   // journal's running set against the runtime's, and checkpoint the
-  // reconciled image. image() then holds the recovered policy state.
-  Recovery RecoverAfterCrash(SimTime now);
+  // reconciled image. The recovered state moves into image().
+  RecoveryResult RecoverAfterCrash(SimTime now);
   // A restarted scheduler process with an empty running set: every kQueued
   // job becomes running when `state` holds its gang and pending otherwise;
   // `state` becomes the image. Returns {pending, running} counts.
@@ -271,7 +252,6 @@ class ClusterRuntime {
 
   // --- ground truth for drivers ------------------------------------------
   NodeLedger& ledger() { return ledger_; }
-  const NodeLedger& ledger() const { return ledger_; }
   const std::map<JobId, RunningJob>& running() const { return running_; }
   RunningJob* find_running(JobId id);
   const RuntimeCounters& counters() const { return counters_; }
@@ -280,8 +260,12 @@ class ClusterRuntime {
   void SetState(int i, JobState state);
   void Trace(const TraceEvent& event);
   void RestoreSchedulerState(const RecoveredState& state);
-  // Starts `run` for job i; a restart resolves a pending kill gap.
+  // Starts job i on run's nodes at run.start, `slow` times its true
+  // runtime; returns that runtime.
+  SimDuration Start(int i, RunningJob run, double slow, SimTime now);
+  // Puts `run` in the running set; a restart resolves a pending kill gap.
   void Launch(int i, RunningJob run, SimTime now);
+  bool InRange(const std::map<PartitionId, int>& counts) const;
   void Drop(int i, SimTime now, JobState state, const char* why,
             double value = 0.0, std::string detail = {});
 

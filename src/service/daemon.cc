@@ -131,25 +131,20 @@ SchedulerDaemon::~SchedulerDaemon() = default;
 bool SchedulerDaemon::Start() {
   RecoverFromJournal();
   bool ok = true;
-  if (!options_.unix_socket_path.empty()) {
-    UniqueFd fd = ListenUnix(options_.unix_socket_path);
-    if (fd.valid()) {
-      int raw = fd.get();
-      listeners_.push_back(std::move(fd));
-      loop_.Add(raw, [this, raw](uint32_t) { OnListenerReadable(raw); });
-    } else {
+  auto listen = [&](UniqueFd fd) {
+    if (!fd.valid()) {
       ok = false;
+      return;
     }
+    int raw = fd.get();
+    listeners_.push_back(std::move(fd));
+    loop_.Add(raw, [this, raw](uint32_t) { OnListenerReadable(raw); });
+  };
+  if (!options_.unix_socket_path.empty()) {
+    listen(ListenUnix(options_.unix_socket_path));
   }
   if (options_.tcp_port >= 0) {
-    UniqueFd fd = ListenTcpLoopback(options_.tcp_port, &bound_tcp_port_);
-    if (fd.valid()) {
-      int raw = fd.get();
-      listeners_.push_back(std::move(fd));
-      loop_.Add(raw, [this, raw](uint32_t) { OnListenerReadable(raw); });
-    } else {
-      ok = false;
-    }
+    listen(ListenTcpLoopback(options_.tcp_port, &bound_tcp_port_));
   }
   PublishStatus();
   return ok;

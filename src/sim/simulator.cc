@@ -351,6 +351,17 @@ SimMetrics Simulator::Run() {
     last_event = t;
   };
 
+  // A node out of service, as the policy sees it: an unpreemptible hold.
+  auto node_hold = [&](NodeId node, SimTime until) {
+    RunningHold hold;
+    hold.job = -1000 - node;  // synthetic id, never matches a real job
+    hold.slo_class = SloClass::kSloAccepted;
+    hold.reservation_end = kTimeNever;
+    hold.counts[cluster_.partition_of(node)] = 1;
+    hold.expected_end = until;
+    return hold;
+  };
+
   // Crash + recovery: the scheduler process dies, losing all RM-side state
   // (policy internals, Rayon agenda, retry/backoff, estimator). Cluster
   // ground truth — the ledger, running gangs, the jobs themselves — survives
@@ -366,17 +377,13 @@ SimMetrics Simulator::Run() {
     TETRI_LOG(kInfo) << "scheduler crash injected at t=" << now << " (phase "
                      << ToString(phase) << "); recovering";
     if (prov.enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kCrash;
-      record.time = now;
-      record.label = ToString(phase);
-      prov.Record(std::move(record));
+      prov.Record(
+          {.kind = ProvKind::kCrash, .time = now, .label = ToString(phase),
+           .detail = {}});
     }
 
-    ClusterRuntime::Recovery rec = runtime.RecoverAfterCrash(now);
+    RecoveryResult rec = runtime.RecoverAfterCrash(now);
     const RecoveredState& st = runtime.image();
-    metrics.recovery_adoptions += rec.adoptions;
-    metrics.recovery_mismatches += rec.mismatches;
     // Fence epochs (DESIGN.md §15): kEpochBump records journal each bump
     // *before* the in-memory table changes, so the recovered table is always
     // >= any epoch a node agent may have adopted — a restart can never issue
@@ -399,19 +406,11 @@ SimMetrics Simulator::Run() {
     std::vector<Placement> recovered_plan;
     for (const auto& [id, gang] : st.running) {
       believed_running.push_back(&runtime.job(runtime.index_of(id)));
-      Placement placement;
-      placement.job = id;
-      placement.counts = gang.counts;
-      placement.est_duration = gang.est_duration;
-      recovered_plan.push_back(std::move(placement));
+      recovered_plan.push_back({id, gang.counts, gang.est_duration});
     }
     std::vector<RunningHold> failed_holds;
     for (const auto& [node, recover_at] : failed_nodes) {
-      RunningHold hold;
-      hold.job = -1000 - node;
-      hold.counts[cluster_.partition_of(node)] = 1;
-      hold.expected_end = recover_at;
-      failed_holds.push_back(std::move(hold));
+      failed_holds.push_back(node_hold(node, recover_at));
     }
     for (const PlanViolation& violation : ValidatePlan(
              cluster_, believed_running, failed_holds, recovered_plan)) {
@@ -429,17 +428,16 @@ SimMetrics Simulator::Run() {
     metrics.recovery_ms.Add(ms);
     trace({now, TraceEventKind::kRecover, -1, -1, rec.replayed, ms});
     if (prov.enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kRecovery;
-      record.time = now;
-      record.value = static_cast<double>(rec.replayed);
-      record.detail = JsonObj()
-                          .Field("replayed", rec.replayed)
-                          .Field("dropped", rec.dropped)
-                          .Field("snapshot_loaded", rec.snapshot_loaded)
-                          .Field("ms", ms)
-                          .str();
-      prov.Record(std::move(record));
+      prov.Record({.kind = ProvKind::kRecovery,
+                   .time = now,
+                   .value = static_cast<double>(rec.replayed),
+                   .label = {},
+                   .detail = JsonObj()
+                                 .Field("replayed", rec.replayed)
+                                 .Field("dropped", rec.dropped)
+                                 .Field("snapshot_loaded", rec.snapshot_loaded)
+                                 .Field("ms", ms)
+                                 .str()});
     }
   };
 
@@ -461,27 +459,23 @@ SimMetrics Simulator::Run() {
   // whose nodes each get a fence-epoch bump, so their agents reject any
   // command issued for the old incarnation of this placement.
   auto recall_gangs_on = [&](NodeId sus, const char* reason) {
-    std::vector<JobId> victims;
-    for (const auto& [id, run] : runtime.running()) {
-      if (std::find(run.nodes.begin(), run.nodes.end(), sus) !=
+    for (auto it = runtime.running().begin();
+         it != runtime.running().end();) {
+      const auto& [victim, run] = *it++;  // Kill() below erases `victim`
+      if (std::find(run.nodes.begin(), run.nodes.end(), sus) ==
           run.nodes.end()) {
-        victims.push_back(id);
+        continue;
       }
-    }
-    for (JobId victim : victims) {
-      const RunningJob& run = runtime.running().at(victim);
       if (prov.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kSuspected;
-        record.time = now;
-        record.job = victim;
-        record.label = reason;
-        record.detail = JsonObj()
-                            .Field("node", sus)
-                            .Field("gang_nodes",
-                                   static_cast<int64_t>(run.nodes.size()))
-                            .str();
-        prov.Record(std::move(record));
+        prov.Record({.kind = ProvKind::kSuspected,
+                     .time = now,
+                     .job = victim,
+                     .label = reason,
+                     .detail = JsonObj()
+                                   .Field("node", sus)
+                                   .Field("gang_nodes", static_cast<int64_t>(
+                                                            run.nodes.size()))
+                                   .str()});
       }
       auto dead = broken.find(victim);
       std::vector<NodeId> killed;
@@ -577,19 +571,17 @@ SimMetrics Simulator::Run() {
           metrics.fenced_tasks += static_cast<int>(fenced.size());
           orphan.intact = false;
           if (prov.enabled()) {
-            ProvenanceRecord record;
-            record.kind = ProvKind::kFenced;
-            record.time = now;
-            record.job = id;
-            record.label = "stale-epoch";
-            record.value = static_cast<double>(fenced.size());
-            record.detail =
-                JsonObj()
-                    .Field("node", node)
-                    .Field("remaining",
-                           static_cast<int64_t>(remaining.size()))
-                    .str();
-            prov.Record(std::move(record));
+            prov.Record(
+                {.kind = ProvKind::kFenced,
+                 .time = now,
+                 .job = id,
+                 .value = static_cast<double>(fenced.size()),
+                 .label = "stale-epoch",
+                 .detail = JsonObj()
+                               .Field("node", node)
+                               .Field("remaining",
+                                      static_cast<int64_t>(remaining.size()))
+                               .str()});
           }
         }
         if (remaining.empty()) {
@@ -843,24 +835,15 @@ SimMetrics Simulator::Run() {
     // actually fine.
     pending.clear();
     holds.clear();
-    auto hold_node = [&](NodeId node, SimTime until) {
-      RunningHold hold;
-      hold.job = -1000 - node;  // synthetic id, never matches a real job
-      hold.slo_class = SloClass::kSloAccepted;
-      hold.reservation_end = kTimeNever;
-      hold.counts[cluster_.partition_of(node)] = 1;
-      hold.expected_end = until;
-      holds.push_back(std::move(hold));
-    };
     if (!lossy) {
       for (const auto& [node, recover_at] : failed_nodes) {
-        hold_node(node, recover_at);
+        holds.push_back(node_hold(node, recover_at));
       }
     } else {
       const std::vector<char>& down = comms.believed_down_mask();
       for (NodeId node = 0; node < cluster_.num_nodes(); ++node) {
         if (down[node]) {
-          hold_node(node, kTimeNever);
+          holds.push_back(node_hold(node, kTimeNever));
         }
       }
     }
@@ -937,6 +920,8 @@ SimMetrics Simulator::Run() {
   metrics.readmissions = rc.readmissions;
   metrics.reservations_dropped = rc.reservations_dropped;
   metrics.stale_placement_bounces = rc.stale_placement_bounces;
+  metrics.recovery_adoptions = rc.recovery_adoptions;
+  metrics.recovery_mismatches = rc.recovery_mismatches;
   metrics.recovery_latency = rc.recovery_latency;
   metrics.validator_violations += rc.validator_violations;
   metrics.outcomes = runtime.TakeOutcomes();

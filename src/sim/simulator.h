@@ -1,12 +1,16 @@
 // Discrete-event cluster simulator (substitute for the paper's 256/80-node
 // physical YARN testbeds).
 //
-// The simulator owns ground truth: node occupancy, actual job runtimes
-// (which depend on the true placement quality, not the scheduler's belief),
-// arrivals, and completions. Policies only ever see estimates. Runtime
-// mis-estimation therefore emerges exactly as in the paper: the scheduler
-// plans with estimate-derived expected completions while the simulator
-// completes jobs on their actual runtimes.
+// The simulator drives the same ClusterRuntime (src/runtime, DESIGN.md §17)
+// as tetrischedd, from a virtual clock. It keeps the event queue (arrivals,
+// completions, cycles), fault and straggler injection, the lossy control
+// plane and scheduler-crash injection; the runtime owns the job lifecycle:
+// node occupancy, actual job runtimes (which depend on the true placement
+// quality, not the scheduler's belief), completions, kills, drops and the
+// journal. Policies only ever see estimates. Runtime mis-estimation
+// therefore emerges exactly as in the paper: the scheduler plans with
+// estimate-derived expected completions while jobs complete on their actual
+// runtimes.
 //
 // Metrics collected match §6.3: accepted / total / unreserved SLO attainment,
 // mean best-effort latency, plus cycle & solver latency distributions and
@@ -75,7 +79,7 @@ struct SimConfig {
   // instant-detection path and schedules are byte-identical to pre-§15
   // builds. Usually copied from FaultSchedule::comms.
   CommsParams comms;
-  // Re-admission hook: when set (the agenda used by ApplyAdmission), an
+  // Re-admission agenda: when set (the one ApplyAdmission used), an
   // accepted-SLO gang whose reservation no longer fits its post-kill
   // restart window is re-admitted against the remaining window
   // (shrink) or downgraded to unreserved (drop). Not owned.
