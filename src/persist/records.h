@@ -64,11 +64,12 @@ enum class DurableEventKind : uint8_t {
   // epoch older than one a node agent may already have adopted — i.e. a
   // crash never resurrects a fenced placement.
   kEpochBump = 13,
-  // Service-layer job acceptance (DESIGN.md §16): tetrischedd admitted a
-  // client submission into its pending set. `blob` carries the canonical
-  // JSON job spec (service/jobspec.h) so a restarted daemon can rebuild the
-  // Job; erased from RecoveredState::service_jobs when the job finishes or
-  // is dropped, so replay leaves exactly the accepted-but-unfinished set.
+  // Service-layer job acceptance (DESIGN.md §16): tetrischedd acknowledged
+  // a client submission (journaled before the reply). `blob` carries the
+  // canonical JSON job spec (service/jobspec.h) so a restarted daemon can
+  // rebuild the Job; erased from RecoveredState::service_jobs when the job
+  // finishes or is dropped, so replay leaves exactly the
+  // accepted-but-unfinished set.
   kServiceSubmit = 14,
 };
 

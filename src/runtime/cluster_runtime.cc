@@ -18,20 +18,16 @@ const char* ToString(JobState state) {
 
 bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
                           const std::map<PartitionId, int>& counts) {
-  // Every partition the gang uses must satisfy `ok`.
-  auto all_used = [&counts](auto ok) {
-    return std::all_of(counts.begin(), counts.end(), [&ok](const auto& entry) {
-      return entry.second == 0 || ok(entry.first);
-    });
-  };
   switch (job.type) {
     case JobType::kUnconstrained:
-    case JobType::kAvailability:
       return true;
     case JobType::kGpu:
-      return all_used([&cluster](PartitionId p) {
-        return cluster.partition(p).has_gpu;
-      });
+      for (const auto& [partition, count] : counts) {
+        if (count > 0 && !cluster.partition(partition).has_gpu) {
+          return false;
+        }
+      }
+      return true;
     case JobType::kMpi: {
       RackId rack = -1;
       for (const auto& [partition, count] : counts) {
@@ -47,12 +43,18 @@ bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
       }
       return true;
     }
+    case JobType::kAvailability:
+      return true;
     case JobType::kDataLocal:
-      return all_used([&job](PartitionId p) {
-        return std::find(job.preferred_partitions.begin(),
-                         job.preferred_partitions.end(),
-                         p) != job.preferred_partitions.end();
-      });
+      for (const auto& [partition, count] : counts) {
+        if (count > 0 &&
+            std::find(job.preferred_partitions.begin(),
+                      job.preferred_partitions.end(),
+                      partition) == job.preferred_partitions.end()) {
+          return false;
+        }
+      }
+      return true;
   }
   return true;
 }
@@ -160,15 +162,6 @@ int ClusterRuntime::AddJob(Job job) {
   return i;
 }
 
-int ClusterRuntime::Enqueue(Job job, SimTime now, std::string spec) {
-  const int i = AddJob(std::move(job));
-  DurableEvent event =
-      Event(DurableEventKind::kServiceSubmit, now, jobs_[i].id);
-  event.blob = std::move(spec);
-  Journal(event);
-  return i;
-}
-
 int ClusterRuntime::index_of(JobId id) const {
   auto it = index_.find(id);
   return it == index_.end() ? -1 : it->second;
@@ -185,10 +178,8 @@ void ClusterRuntime::SetState(int i, JobState state) {
   ++counts_[static_cast<int>(state)];
   slot.state = state;
   if (state == JobState::kPending && !slot.listed) {
-    if (!pending_list_.empty() && pending_list_.back() > i) {
-      pending_sorted_ = false;
-    }
-    pending_list_.push_back(i);
+    pending_list_.insert(
+        std::upper_bound(pending_list_.begin(), pending_list_.end(), i), i);
     slot.listed = true;
   }
 }
@@ -653,10 +644,6 @@ void ClusterRuntime::BuildView(SimTime now, std::vector<const Job*>* pending,
     }
   }
   pending_list_.resize(kept);
-  if (!pending_sorted_) {
-    std::sort(pending_list_.begin(), pending_list_.end());
-    pending_sorted_ = true;
-  }
   for (int i : pending_list_) {
     if (slots_[i].eligible_at > now) {
       continue;  // still backing off after a failure kill

@@ -174,10 +174,6 @@ class ClusterRuntime {
   // --- job table ---------------------------------------------------------
   // Registers a job as kQueued and returns its dense index.
   int AddJob(Job job);
-  // AddJob for an acknowledged service submission: also journals
-  // kServiceSubmit with `spec` (the canonical job JSON), so the job
-  // survives a restart even while it waits in an intake queue.
-  int Enqueue(Job job, SimTime now, std::string spec);
   int index_of(JobId id) const;  // -1 when unknown
   int num_jobs() const { return static_cast<int>(jobs_.size()); }
   const Job& job(int i) const { return jobs_[i]; }
@@ -286,9 +282,9 @@ class ClusterRuntime {
   std::vector<JobOutcome> outcomes_;
   std::unordered_map<JobId, int> index_;
   std::array<int64_t, kNumJobStates> counts_{};
-  // Indices that were pending when listed; BuildView drops the stale ones.
+  // Ascending indices that were pending when listed; BuildView drops the
+  // stale ones.
   std::vector<int> pending_list_;
-  bool pending_sorted_ = true;
 
   std::map<JobId, RunningJob> running_;
   // (actual end, job id), earliest first; entries whose gang ended

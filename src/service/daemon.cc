@@ -131,20 +131,25 @@ SchedulerDaemon::~SchedulerDaemon() = default;
 bool SchedulerDaemon::Start() {
   RecoverFromJournal();
   bool ok = true;
-  auto listen = [&](UniqueFd fd) {
-    if (!fd.valid()) {
-      ok = false;
-      return;
-    }
-    int raw = fd.get();
-    listeners_.push_back(std::move(fd));
-    loop_.Add(raw, [this, raw](uint32_t) { OnListenerReadable(raw); });
-  };
   if (!options_.unix_socket_path.empty()) {
-    listen(ListenUnix(options_.unix_socket_path));
+    UniqueFd fd = ListenUnix(options_.unix_socket_path);
+    if (fd.valid()) {
+      int raw = fd.get();
+      listeners_.push_back(std::move(fd));
+      loop_.Add(raw, [this, raw](uint32_t) { OnListenerReadable(raw); });
+    } else {
+      ok = false;
+    }
   }
   if (options_.tcp_port >= 0) {
-    listen(ListenTcpLoopback(options_.tcp_port, &bound_tcp_port_));
+    UniqueFd fd = ListenTcpLoopback(options_.tcp_port, &bound_tcp_port_);
+    if (fd.valid()) {
+      int raw = fd.get();
+      listeners_.push_back(std::move(fd));
+      loop_.Add(raw, [this, raw](uint32_t) { OnListenerReadable(raw); });
+    } else {
+      ok = false;
+    }
   }
   PublishStatus();
   return ok;
@@ -408,6 +413,7 @@ void SchedulerDaemon::RunCycle() {
     runtime_.Commit(now_, scheduler_.OnCycle(now_, pending, running),
                     scheduler_, launch_);
   }
+  PublishCounters();
   PublishStatus();
 }
 
@@ -432,16 +438,19 @@ DaemonStatus SchedulerDaemon::UnlockedStatus() const {
   return status;
 }
 
-void SchedulerDaemon::PublishStatus() {
-  DaemonStatus status = UnlockedStatus();
+void SchedulerDaemon::PublishCounters() {
+  const DaemonStatus status = UnlockedStatus();
   ServiceInstruments& instruments = Instruments();
   SyncCounter(instruments.completed, status.completed, &published_completed_);
   SyncCounter(instruments.dropped, status.dropped, &published_dropped_);
   SyncCounter(instruments.cancelled, status.cancelled, &published_cancelled_);
   instruments.inflight->Set(
       static_cast<double>(status.queued + status.pending + status.running));
+}
+
+void SchedulerDaemon::PublishStatus() {
   std::lock_guard<std::mutex> lock(status_mu_);
-  published_status_ = status;
+  published_status_ = UnlockedStatus();
 }
 
 DaemonStatus SchedulerDaemon::StatusSnapshot() const {
@@ -531,11 +540,19 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
     return ErrorResponse(request.req_id, kErrOverloaded, verdict.reason,
                          verdict.retry_after_ms);
   }
-  // Journaled before the reply: an acknowledged job survives a restart.
-  runtime_.Enqueue(job, now_, JobSpecToJson(job));
+  // Journaled before the reply, so a job still in the intake queue
+  // survives a restart.
+  DurableEvent accepted;
+  accepted.kind = DurableEventKind::kServiceSubmit;
+  accepted.time = now_;
+  accepted.job = job.id;
+  accepted.blob = JobSpecToJson(job);
+  runtime_.Journal(accepted);
+  runtime_.AddJob(job);
   clients_.push_back(client);
   ++admitted_total_;
   Instruments().admitted->Increment();
+  PublishCounters();
 
   JsonObj extra;
   extra.Field("job", job.id);
@@ -596,6 +613,7 @@ std::string SchedulerDaemon::HandleCancel(const ServiceRequest& request) {
                          std::string("job already ") +
                              ToString(runtime_.state(index)));
   }
+  PublishCounters();
   JsonObj extra;
   extra.Field("job", job);
   extra.Field("state", ToString(runtime_.state(index)));

@@ -177,6 +177,8 @@ class SchedulerDaemon {
 
   JsonObj JobStatusJson(int index) const;
   DaemonStatus UnlockedStatus() const;
+  // Adds the runtime's new completions, drops and cancels to the registry.
+  void PublishCounters();
   void PublishStatus();
 
   DaemonOptions options_;

@@ -278,10 +278,16 @@ TEST(RuntimeTest, CheckpointAndReplayResumeQueuedPendingAndRunningJobs) {
   {
     ClusterRuntime runtime(cluster,
                            {.rayon = &rayon, .persist = persist.get()});
+    // What tetrischedd does when it acknowledges a submission.
     auto enqueue = [&](JobId id, SimTime now, SimDuration runtime_s = 100) {
-      return runtime.Enqueue(
-          MakeJob(id, JobType::kUnconstrained, 2, runtime_s, now), now,
-          "spec-" + std::to_string(id));
+      DurableEvent accepted;
+      accepted.kind = DurableEventKind::kServiceSubmit;
+      accepted.time = now;
+      accepted.job = id;
+      accepted.blob = "spec-" + std::to_string(id);
+      runtime.Journal(accepted);
+      return runtime.AddJob(
+          MakeJob(id, JobType::kUnconstrained, 2, runtime_s, now));
     };
     enqueue(1, 0);                    // queued at the checkpoint
     runtime.Admit(enqueue(2, 0), 0);  // pending at the checkpoint
