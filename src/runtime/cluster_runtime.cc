@@ -270,9 +270,8 @@ void ClusterRuntime::CompleteUntil(SimTime now) {
                    .value = static_cast<double>(runtime),
                    .label = time <= job.deadline ? "met" : "late",
                    .detail = JsonObj()
-                                 .Field("runtime", static_cast<int64_t>(runtime))
-                                 .Field("deadline",
-                                        static_cast<int64_t>(job.deadline))
+                                 .Field("runtime", int64_t{runtime})
+                                 .Field("deadline", int64_t{job.deadline})
                                  .Field("preferred", outcome.preferred)
                                  .str()});
     }
@@ -425,6 +424,7 @@ SimDuration ClusterRuntime::Start(int i, RunningJob run, double slow,
   if (slow > 1.0) {
     actual = static_cast<SimDuration>(
         std::llround(static_cast<double>(actual) * slow));
+    ++counters_.straggler_slowed_starts;
   }
   run.actual_end = run.start + actual;
   JobOutcome& outcome = outcomes_[i];

@@ -159,6 +159,7 @@ struct RuntimeCounters {
   int reservations_dropped = 0;
   int validator_violations = 0;  // placements the ledger check refused
   int stale_placement_bounces = 0;
+  int straggler_slowed_starts = 0;  // gangs the hook slowed at start
   int recovery_adoptions = 0;   // running gangs adopted from an open intent
   int recovery_mismatches = 0;  // journal vs running-set conflicts
   SampleStats recovery_latency;  // kill -> restart gap per retry (s)
@@ -228,8 +229,11 @@ class ClusterRuntime {
   void BuildView(SimTime now, std::vector<const Job*>* pending,
                  std::vector<RunningHold>* holds);
 
-  // --- durability ----------------------------------------------------------
+  // --- records -------------------------------------------------------------
+  // Appends to the journal (and mirrors into the image) when one is set.
   void Journal(const DurableEvent& event);
+  // Records a trace event when a trace is attached.
+  void Trace(const TraceEvent& event);
   // Seeds the image with the Rayon agenda, every SLO job's class and the
   // policy's state, and writes it as the first checkpoint.
   void CheckpointInitial(const SchedulerPolicy& policy);
@@ -254,7 +258,6 @@ class ClusterRuntime {
 
  private:
   void SetState(int i, JobState state);
-  void Trace(const TraceEvent& event);
   void RestoreSchedulerState(const RecoveredState& state);
   // Starts job i on run's nodes at run.start, `slow` times its true
   // runtime; returns that runtime.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -90,11 +89,8 @@ SimInstruments& Instruments() {
 class SimLaunchHook : public LaunchHook {
  public:
   SimLaunchHook(ControlPlane& comms,
-                const std::vector<StragglerEvent>& active_stragglers,
-                int* slowed_starts)
-      : comms_(comms),
-        active_stragglers_(active_stragglers),
-        slowed_starts_(slowed_starts) {}
+                const std::vector<StragglerEvent>& active_stragglers)
+      : comms_(comms), active_stragglers_(active_stragglers) {}
 
   // This cycle's crash, when one is due inside the commit.
   const SchedulerCrashEvent* crash = nullptr;
@@ -145,9 +141,6 @@ class SimLaunchHook : public LaunchHook {
         factor = std::max(factor, event.slowdown);
       }
     }
-    if (factor > 1.0) {
-      ++*slowed_starts_;
-    }
     return factor;
   }
 
@@ -167,7 +160,6 @@ class SimLaunchHook : public LaunchHook {
  private:
   ControlPlane& comms_;
   const std::vector<StragglerEvent>& active_stragglers_;
-  int* slowed_starts_;
 };
 
 void WriteFileOrWarn(const std::string& path, const std::string& content) {
@@ -240,11 +232,6 @@ SimMetrics Simulator::Run() {
 
   SimMetrics metrics;
   const int n = static_cast<int>(jobs_.size());
-  auto trace = [&](TraceEvent event) {
-    if (config_.trace != nullptr) {
-      config_.trace->Record(event);
-    }
-  };
 
   // Persistence and scheduler-crash harness (DESIGN.md §11). The active
   // policy is held by pointer so recovery can swap in a freshly built one.
@@ -333,8 +320,7 @@ SimMetrics Simulator::Run() {
     }
     return counts;
   };
-  SimLaunchHook hook(comms, active_stragglers,
-                     &metrics.straggler_slowed_starts);
+  SimLaunchHook hook(comms, active_stragglers);
 
   int next_arrival = 0;
   SimTime now = 0;
@@ -372,7 +358,7 @@ SimMetrics Simulator::Run() {
     auto wall_start = std::chrono::steady_clock::now();
     ++metrics.scheduler_crashes;
     sim_ins.scheduler_crashes->Increment();
-    trace({now, TraceEventKind::kSchedulerCrash, -1, -1,
+    runtime.Trace({now, TraceEventKind::kSchedulerCrash, -1, -1,
            static_cast<int32_t>(phase)});
     TETRI_LOG(kInfo) << "scheduler crash injected at t=" << now << " (phase "
                      << ToString(phase) << "); recovering";
@@ -426,7 +412,7 @@ SimMetrics Simulator::Run() {
                     std::chrono::steady_clock::now() - wall_start)
                     .count();
     metrics.recovery_ms.Add(ms);
-    trace({now, TraceEventKind::kRecover, -1, -1, rec.replayed, ms});
+    runtime.Trace({now, TraceEventKind::kRecover, -1, -1, rec.replayed, ms});
     if (prov.enabled()) {
       prov.Record({.kind = ProvKind::kRecovery,
                    .time = now,
@@ -673,7 +659,7 @@ SimMetrics Simulator::Run() {
       auto [time, node] = recoveries.top();
       recoveries.pop();
       ledger.ReturnSpecific(node);
-      trace({now, TraceEventKind::kNodeRecover, -1, node});
+      runtime.Trace({now, TraceEventKind::kNodeRecover, -1, node});
       sim_ins.node_recoveries->Increment();
       failed_nodes.erase(node);
       if (lossy) {
@@ -746,7 +732,7 @@ SimMetrics Simulator::Run() {
         }
       }
       ledger.TakeSpecific(failure.node);
-      trace({now, TraceEventKind::kNodeFail, -1, failure.node});
+      runtime.Trace({now, TraceEventKind::kNodeFail, -1, failure.node});
       sim_ins.node_failures->Increment();
       failed_nodes[failure.node] = failure.recover_at;
       if (failure.recover_at != kTimeNever) {
@@ -765,7 +751,7 @@ SimMetrics Simulator::Run() {
       for (auto it = active_stragglers.begin();
            it != active_stragglers.end();) {
         if (it->recover_at <= now) {
-          trace({now, TraceEventKind::kNodeSlowRecover, -1, it->node});
+          runtime.Trace({now, TraceEventKind::kNodeSlowRecover, -1, it->node});
           it = active_stragglers.erase(it);
         } else {
           ++it;
@@ -782,7 +768,7 @@ SimMetrics Simulator::Run() {
       active_stragglers.push_back(event);
       straggler_ends.push(event.recover_at);
       sim_ins.stragglers->Increment();
-      trace({now, TraceEventKind::kNodeSlow, -1, event.node, 0,
+      runtime.Trace({now, TraceEventKind::kNodeSlow, -1, event.node, 0,
              event.slowdown});
     }
 
@@ -866,7 +852,7 @@ SimMetrics Simulator::Run() {
         span_internal::DisarmSpanCrashHook();
         throw SchedulerCrashSignal{};
       }
-      trace({now, TraceEventKind::kCycle, -1, -1,
+      runtime.Trace({now, TraceEventKind::kCycle, -1, -1,
              static_cast<int32_t>(pending.size()),
              decision.stats.cycle_seconds * 1e3});
       sim_ins.cycles->Increment();
@@ -882,7 +868,7 @@ SimMetrics Simulator::Run() {
         sim_ins.fallback_cycles->Increment();
         // `count` carries the degradation-ladder rung that produced the plan
         // (1 = greedy first-fit, 2 = skip), not a placement count.
-        trace({now, TraceEventKind::kFallback, -1, -1,
+        runtime.Trace({now, TraceEventKind::kFallback, -1, -1,
                decision.stats.ladder_rung});
       }
       metrics.validator_violations += decision.stats.validator_rejects;
@@ -920,6 +906,7 @@ SimMetrics Simulator::Run() {
   metrics.readmissions = rc.readmissions;
   metrics.reservations_dropped = rc.reservations_dropped;
   metrics.stale_placement_bounces = rc.stale_placement_bounces;
+  metrics.straggler_slowed_starts = rc.straggler_slowed_starts;
   metrics.recovery_adoptions = rc.recovery_adoptions;
   metrics.recovery_mismatches = rc.recovery_mismatches;
   metrics.recovery_latency = rc.recovery_latency;
