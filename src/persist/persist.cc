@@ -60,7 +60,8 @@ void PersistenceManager::Checkpoint(const RecoveredState& state) {
 }
 
 bool PersistenceManager::MaybeCheckpoint(const RecoveredState& state) {
-  if (!CheckpointDue()) {
+  if (options_.snapshot_every <= 0 ||
+      journal_records_ < options_.snapshot_every) {
     return false;
   }
   Checkpoint(state);

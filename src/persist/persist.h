@@ -6,7 +6,7 @@
 //     it to the journal,
 //   * Checkpoint() serializes the full RecoveredState as the snapshot
 //     (replaced crash-atomically) and truncates the journal,
-//   * CheckpointDue() / MaybeCheckpoint() apply the snapshot cadence
+//   * MaybeCheckpoint() applies the snapshot cadence
 //     (PersistOptions::snapshot_every journal records),
 //   * Recover() loads the snapshot, replays every intact journal record on
 //     top of it, and truncates a torn or corrupt tail at the first bad CRC
@@ -54,13 +54,6 @@ class PersistenceManager {
 
   // Serializes `state` as the new snapshot and truncates the journal.
   void Checkpoint(const RecoveredState& state);
-
-  // True when the cadence calls for a checkpoint now. Callers whose state
-  // image is costly to build check this first and call Checkpoint().
-  bool CheckpointDue() const {
-    return options_.snapshot_every > 0 &&
-           journal_records_ >= options_.snapshot_every;
-  }
 
   // Checkpoint iff the cadence says so; returns true when one was taken.
   bool MaybeCheckpoint(const RecoveredState& state);
