@@ -8,9 +8,11 @@ namespace tetrisched {
 namespace {
 
 constexpr uint8_t kEventVersion = 1;
-// v2 appends RecoveredState::service_jobs; v1 snapshots (no service layer)
-// still decode, with an empty service-jobs table.
-constexpr uint8_t kSnapshotVersion = 2;
+// v2 appended RecoveredState::service_jobs; v3 drops the list of finished
+// job ids, which no recovery path read. v1 snapshots (no service layer)
+// still decode, with an empty service-jobs table, and v1/v2 finished lists
+// are read and discarded.
+constexpr uint8_t kSnapshotVersion = 3;
 constexpr uint8_t kMinSnapshotVersion = 1;
 
 void PutCounts(ByteWriter& writer, const std::map<PartitionId, int>& counts) {
@@ -270,7 +272,6 @@ void ApplyEvent(RecoveredState& state, const DurableEvent& event) {
       break;
     case DurableEventKind::kGangComplete:
       state.running.erase(event.job);
-      state.finished.insert(event.job);
       state.service_jobs.erase(event.job);
       state.completions.push_back(
           CompletionRecord{event.job, event.preferred, event.runtime});
@@ -285,7 +286,6 @@ void ApplyEvent(RecoveredState& state, const DurableEvent& event) {
       break;
     case DurableEventKind::kJobDropped:
       state.running.erase(event.job);
-      state.finished.insert(event.job);
       state.service_jobs.erase(event.job);
       break;
     case DurableEventKind::kServiceSubmit:
@@ -322,11 +322,6 @@ std::string EncodeSnapshot(const RecoveredState& state) {
     writer.PutI64(retry.retries);
     writer.PutI64(retry.eligible_at);
     writer.PutI64(retry.last_kill);
-  }
-
-  writer.PutU32(static_cast<uint32_t>(state.finished.size()));
-  for (JobId job : state.finished) {
-    writer.PutI64(job);
   }
 
   writer.PutU32(static_cast<uint32_t>(state.slo.size()));
@@ -402,9 +397,11 @@ bool DecodeSnapshot(std::string_view bytes, RecoveredState* state) {
     state->retries[retry.job] = retry;
   }
 
-  uint32_t num_finished = reader.GetU32();
-  for (uint32_t i = 0; i < num_finished && reader.ok(); ++i) {
-    state->finished.insert(reader.GetI64());
+  if (version < 3) {
+    uint32_t num_finished = reader.GetU32();
+    for (uint32_t i = 0; i < num_finished && reader.ok(); ++i) {
+      reader.GetI64();
+    }
   }
 
   uint32_t num_slo = reader.GetU32();

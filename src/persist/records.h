@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -171,7 +170,6 @@ struct RecoveredState {
   RayonState rayon;
   std::map<JobId, GangRecord> running;
   std::map<JobId, RetryRecord> retries;
-  std::set<JobId> finished;       // completed or dropped
   std::map<JobId, SloRecord> slo; // current class/reservation per SLO job
   // Ordered completion observations (rebuilds the runtime estimator).
   std::vector<CompletionRecord> completions;
@@ -184,8 +182,9 @@ struct RecoveredState {
   // across snapshot/journal boundaries.
   std::map<NodeId, uint64_t> epochs;
   // Accepted-but-unfinished service submissions (DESIGN.md §16): job id ->
-  // canonical JSON job spec. A restarted tetrischedd resumes every job
-  // here that is neither `running` (adopted as a live gang) nor `finished`.
+  // canonical JSON job spec. A job leaves the table when it completes or is
+  // dropped; a restarted tetrischedd resumes every job here that is not
+  // `running` (adopted as a live gang).
   std::map<JobId, std::string> service_jobs;
 
   bool operator==(const RecoveredState& other) const = default;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/persist/journal.h"
 #include "src/persist/persist.h"
 #include "src/persist/records.h"
@@ -133,7 +134,6 @@ RecoveredState FullState() {
   state.running[3] = GangRecord{3, {{0, 2}}, 380, 420, 40};
   state.running[5] = GangRecord{5, {{1, 1}, {2, 1}}, 396, 500, 104};
   state.retries[9] = RetryRecord{9, 2, 410, 390};
-  state.finished = {1, 2};
   state.slo[3] = SloRecord{3, 1, {380, 430}};
   state.completions = {CompletionRecord{1, true, 50},
                        CompletionRecord{2, false, 61}};
@@ -157,6 +157,62 @@ TEST(SnapshotCodecTest, RoundTripsWithoutPendingIntent) {
   ASSERT_TRUE(DecodeSnapshot(EncodeSnapshot(state), &decoded));
   EXPECT_EQ(decoded, state);
   EXPECT_FALSE(decoded.pending_intent.has_value());
+}
+
+TEST(SnapshotCodecTest, DiscardsV2FinishedList) {
+  // A v2 snapshot, written field by field in that version's layout, with a
+  // list of finished job ids between the retries and the SLO records.
+  ByteWriter writer;
+  writer.PutU8(2);
+  writer.PutI64(400);  // checkpoint_time
+  writer.PutI64(16);   // rayon: capacity, accepted, rejected, no deltas
+  writer.PutI64(5);
+  writer.PutI64(2);
+  writer.PutU32(0);
+  writer.PutU32(0);  // running
+  writer.PutU32(1);  // retries
+  writer.PutI64(9);
+  writer.PutI64(2);
+  writer.PutI64(410);
+  writer.PutI64(390);
+  writer.PutU32(2);  // finished
+  writer.PutI64(1);
+  writer.PutI64(2);
+  writer.PutU32(1);  // slo
+  writer.PutI64(3);
+  writer.PutU8(1);
+  writer.PutI64(380);
+  writer.PutI64(430);
+  writer.PutU32(1);  // completions
+  writer.PutI64(1);
+  writer.PutU8(1);
+  writer.PutI64(50);
+  writer.PutString("warm-start-blob");
+  writer.PutU8(0);   // no pending intent
+  writer.PutU32(1);  // epochs
+  writer.PutI64(7);
+  writer.PutI64(3);
+  writer.PutU32(1);  // service jobs
+  writer.PutI64(11);
+  writer.PutString("{}");
+
+  RecoveredState expected;
+  expected.checkpoint_time = 400;
+  expected.rayon = RayonState{16, 5, 2, {}};
+  expected.retries[9] = RetryRecord{9, 2, 410, 390};
+  expected.slo[3] = SloRecord{3, 1, {380, 430}};
+  expected.completions = {CompletionRecord{1, true, 50}};
+  expected.policy_state = "warm-start-blob";
+  expected.epochs[7] = 3;
+  expected.service_jobs[11] = "{}";
+
+  const std::string v2 = writer.Take();
+  RecoveredState decoded;
+  ASSERT_TRUE(DecodeSnapshot(v2, &decoded));
+  EXPECT_EQ(decoded, expected);
+  // Re-encoded, the same state is the v2 bytes less the list (its count and
+  // two ids).
+  EXPECT_EQ(EncodeSnapshot(decoded).size(), v2.size() - 4 - 2 * 8);
 }
 
 TEST(SnapshotCodecTest, RejectsCorruptBytes) {
@@ -219,6 +275,8 @@ TEST(ApplyEventTest, LaunchIsIdempotentAndClosesKillGap) {
 
 TEST(ApplyEventTest, CompleteAndDropRetireJobs) {
   RecoveredState state;
+  state.service_jobs[1] = "{}";
+  state.service_jobs[2] = "{}";
   ApplyEvent(state, Launch(1, 0, 10));
   ApplyEvent(state, Launch(2, 0, 10));
 
@@ -235,7 +293,7 @@ TEST(ApplyEventTest, CompleteAndDropRetireJobs) {
   ApplyEvent(state, dropped);
 
   EXPECT_TRUE(state.running.empty());
-  EXPECT_EQ(state.finished, (std::set<JobId>{1, 2}));
+  EXPECT_TRUE(state.service_jobs.empty());
   ASSERT_EQ(state.completions.size(), 1u);
   EXPECT_EQ(state.completions[0].runtime, 9);
 }
@@ -324,7 +382,7 @@ TEST(PersistenceManagerTest, RecoverReplaysSnapshotPlusJournal) {
 
   RecoveredState base;
   base.checkpoint_time = 100;
-  base.finished = {1};
+  base.retries[1] = RetryRecord{1, 1, 90, 80};
   persist.Checkpoint(base);
   persist.Append(Launch(2, 104, 50));
   persist.Append(SloEvent(2, 104, 160));
@@ -334,7 +392,7 @@ TEST(PersistenceManagerTest, RecoverReplaysSnapshotPlusJournal) {
   EXPECT_EQ(rec.replayed, 2);
   EXPECT_EQ(rec.dropped, 0);
   EXPECT_EQ(rec.state.checkpoint_time, 100);
-  EXPECT_EQ(rec.state.finished, (std::set<JobId>{1}));
+  EXPECT_EQ(rec.state.retries.count(1), 1u);
   EXPECT_EQ(rec.state.running.count(2), 1u);
   EXPECT_EQ(rec.state.slo.count(2), 1u);
 }
