@@ -1,61 +1,36 @@
 #include "src/common/budget.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace tetrisched {
 
-int64_t CancelToken::NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void CancelToken::ArmAfterSeconds(double seconds) {
-  if (!std::isfinite(seconds)) {
-    Disarm();
-    return;
+Deadline Deadline::AfterSeconds(double seconds) {
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> wait(std::max(seconds, 0.0));
+  if (!(wait < Clock::time_point::max() - now)) {
+    return Deadline();
   }
-  ArmAtNanos(NowNanos() + static_cast<int64_t>(seconds * 1e9));
+  return Deadline(now + std::chrono::duration_cast<Clock::duration>(wait));
 }
 
-void CancelToken::ArmAtNanos(int64_t deadline_ns) {
-  deadline_ns_.store(deadline_ns, std::memory_order_relaxed);
-}
+DeadlinePool::DeadlinePool(Deadline end, double total_weight)
+    : end_(end), outstanding_weight_(std::max(total_weight, 0.0)) {}
 
-void CancelToken::Cancel() {
-  deadline_ns_.store(INT64_MIN, std::memory_order_relaxed);
-}
-
-void CancelToken::Disarm() {
-  deadline_ns_.store(kUnarmed, std::memory_order_relaxed);
-}
-
-double CancelToken::RemainingSeconds() const {
-  int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-  if (deadline == kUnarmed) {
-    return std::numeric_limits<double>::infinity();
+Deadline DeadlinePool::Acquire(double weight, double floor_seconds) {
+  if (end_.never()) {
+    return end_;
   }
-  return static_cast<double>(deadline - NowNanos()) * 1e-9;
-}
-
-DeadlinePool::DeadlinePool(double total_seconds, double total_weight)
-    : end_(std::chrono::steady_clock::now() +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(std::max(total_seconds, 0.0)))),
-      outstanding_weight_(std::max(total_weight, 0.0)) {}
-
-double DeadlinePool::AcquireSeconds(double weight, double floor_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  double remaining =
-      std::chrono::duration<double>(end_ - std::chrono::steady_clock::now())
-          .count();
-  remaining = std::max(remaining, 0.0);
-  double share = outstanding_weight_ > 0.0
-                     ? remaining * (weight / outstanding_weight_)
-                     : remaining;
-  return std::max(floor_seconds, std::min(share, remaining));
+  const Deadline::Clock::time_point now = Deadline::Clock::now();
+  const double remaining =
+      std::max(std::chrono::duration<double>(end_.at() - now).count(), 0.0);
+  const double share = outstanding_weight_ > 0.0
+                           ? remaining * (weight / outstanding_weight_)
+                           : remaining;
+  const auto slice = std::chrono::duration_cast<Deadline::Clock::duration>(
+      std::chrono::duration<double>(std::max(floor_seconds, share)));
+  // The floor never reaches past the pool's own deadline.
+  return Deadline(std::min(end_.at(), now + slice));
 }
 
 void DeadlinePool::Release(double weight) {

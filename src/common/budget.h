@@ -2,13 +2,13 @@
 //
 // Four pieces, deliberately small and dependency-free so every layer from
 // the simplex inner loop up to the scheduler can share them:
-//   * CancelToken    — an armable absolute wall-clock deadline, polled
-//                      cooperatively (one relaxed atomic load + one clock
-//                      read when armed; an unarmed token never touches the
-//                      clock, so disabled plumbing is inert).
-//   * DeadlinePool   — a weighted pool over one shared deadline. Concurrent
-//                      claimants acquire a slice of the *remaining*
-//                      wall-clock proportional to their weight among the
+//   * Deadline       — an absolute wall-clock instant, fixed when it is made
+//                      and copied by value into whatever polls it (one clock
+//                      read per poll; the default never expires and never
+//                      reads the clock, so disabled plumbing is inert).
+//   * DeadlinePool   — a weighted pool that slices one Deadline among
+//                      concurrent claimants. Each acquires a slice of the
+//                      *remaining* time proportional to its weight among the
 //                      still-outstanding claimants, so work that finishes
 //                      early implicitly donates its unused time to whatever
 //                      is still running (replaces fixed-share apportionment
@@ -24,79 +24,55 @@
 #ifndef TETRISCHED_COMMON_BUDGET_H_
 #define TETRISCHED_COMMON_BUDGET_H_
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <mutex>
 
 namespace tetrisched {
 
-// Shared wall-clock deadline. One controller arms it; any number of workers
-// poll Expired() from hot loops. Passed by pointer (not copyable); nullptr
-// and unarmed both mean "no deadline".
-class CancelToken {
+// Absolute steady-clock deadline. Immutable once made, so a solve copies
+// the one it arms into every LP and component it runs, and any number of
+// threads poll Expired() from hot loops without sharing state. The default
+// value never expires and never reads the clock.
+class Deadline {
  public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;
-  CancelToken& operator=(const CancelToken&) = delete;
+  using Clock = std::chrono::steady_clock;
 
-  // Arms the deadline `seconds` from now (<= 0 expires immediately).
-  void ArmAfterSeconds(double seconds);
-  // Arms at an absolute steady-clock nanosecond stamp (see NowNanos), used
-  // to compose tokens: earliest deadline wins.
-  void ArmAtNanos(int64_t deadline_ns);
-  // Expires the token immediately.
-  void Cancel();
-  // Returns to the unarmed state (Expired() constant false, no clock reads).
-  void Disarm();
+  Deadline() = default;
+  explicit Deadline(Clock::time_point at) : at_(at) {}
 
-  bool armed() const {
-    return deadline_ns_.load(std::memory_order_relaxed) != kUnarmed;
-  }
-  // True once the deadline passed. Unarmed tokens never read the clock.
-  bool Expired() const {
-    int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-    if (deadline == kUnarmed) {
-      return false;
-    }
-    return NowNanos() >= deadline;
-  }
-  // Seconds until expiry (negative once expired); +infinity when unarmed.
-  double RemainingSeconds() const;
-  // Absolute deadline stamp; kUnarmed sentinel when unarmed.
-  int64_t deadline_nanos() const {
-    return deadline_ns_.load(std::memory_order_relaxed);
-  }
+  // `seconds` from now: <= 0 has already expired; +inf, NaN or a span past
+  // the clock's range never expires.
+  static Deadline AfterSeconds(double seconds);
 
-  static int64_t NowNanos();
-  static constexpr int64_t kUnarmed = INT64_MAX;
+  Clock::time_point at() const { return at_; }
+  bool never() const { return at_ == Clock::time_point::max(); }
+  bool Expired() const { return !never() && Clock::now() >= at_; }
 
  private:
-  std::atomic<int64_t> deadline_ns_{kUnarmed};
+  Clock::time_point at_ = Clock::time_point::max();
 };
 
-// Weighted wall-clock pool for concurrent sub-solves sharing one deadline.
-// Construct with the total budget and the aggregate weight of every claimant
-// (e.g. total variable count across components); each claimant calls
-// AcquireSeconds when it starts and Release when it finishes. Because a
-// claimant's slice is computed from the wall-clock remaining *at its start*
-// and the weight still outstanding, any time an earlier claimant left unused
+// Weighted pool that slices one Deadline among concurrent sub-solves.
+// Construct with the shared deadline and the aggregate weight of every
+// claimant (e.g. total variable count across components); each claimant
+// calls Acquire when it starts and Release when it finishes. Because a
+// claimant's slice is computed from the time remaining *at its start* and
+// the weight still outstanding, any time an earlier claimant left unused
 // flows to the ones after it.
 class DeadlinePool {
  public:
-  DeadlinePool(double total_seconds, double total_weight);
+  DeadlinePool(Deadline end, double total_weight);
 
-  // Slice for a claimant of `weight`: its proportional share of the
-  // remaining wall-clock among the outstanding weight, capped at the
-  // remaining wall-clock, but never below `floor_seconds` (a zero budget
-  // would read as "no solve attempt" downstream).
-  double AcquireSeconds(double weight, double floor_seconds);
+  // Deadline for a claimant of `weight`: its proportional share of the
+  // remaining time among the outstanding weight, but never less than
+  // `floor_seconds` and never past the pool's own deadline.
+  Deadline Acquire(double weight, double floor_seconds);
   // Marks `weight` finished; its unused time redistributes implicitly.
   void Release(double weight);
 
  private:
   std::mutex mu_;
-  std::chrono::steady_clock::time_point end_;
+  const Deadline end_;
   double outstanding_weight_;
 };
 

@@ -1,24 +1,11 @@
 #include "src/solver/decompose.h"
 
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
-#include "src/common/budget.h"
-#include "src/common/metrics.h"
-#include "src/common/span.h"
-#include "src/common/thread_pool.h"
-
 namespace tetrisched {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MillisSince(Clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - since)
-      .count();
-}
 
 // Union-find with path halving + union by rank.
 int32_t Find(std::vector<int32_t>& parent, int32_t v) {
@@ -64,17 +51,6 @@ int StatusRank(MilpStatus status) {
   }
   return 5;
 }
-
-// One extracted component: the sub-model, its variable map back into the
-// original space, its sliced warm start, its budget share, and its result.
-struct Component {
-  MilpModel model;
-  std::vector<VarId> vars;  // component variable id -> original variable id
-  std::vector<double> warm;
-  MilpOptions options;
-  MilpResult result;
-  double weight = 0.0;  // deadline-pool weight (variable count)
-};
 
 }  // namespace
 
@@ -150,27 +126,22 @@ SolveStatus MergeSolveStatus(SolveStatus a, SolveStatus b) {
   return WorstStatus(a, b);
 }
 
-MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
-                           const MilpOptions& options,
-                           std::span<const double> warm_start,
-                           double detect_ms) {
-  const auto start_time = Clock::now();
+std::vector<Component> ExtractComponents(const MilpModel& model,
+                                         const Decomposition& decomp,
+                                         const MilpOptions& options,
+                                         std::span<const double> warm_start) {
   const int n = model.num_vars();
   const int m = model.num_constraints();
   const int k = decomp.num_components;
-  const int num_workers =
-      std::max(1, options.num_threads > 0 ? options.num_threads
-                                          : ThreadPool::HardwareThreads());
 
-  // ---- Extraction: one sub-model per component, original variable order
-  // preserved, so local ids are a monotone remap of the original ids. ------
-  const auto extract_start = Clock::now();
+  // One sub-model per component, original variable order preserved, so
+  // local ids are a monotone remap of the original ids.
   std::vector<Component> components(k);
   std::vector<int32_t> local(n, -1);  // original var -> id in its component
   for (int v = 0; v < n; ++v) {
     const int32_t comp = decomp.var_component[v];
     if (comp < 0) {
-      continue;  // free variable, stitched analytically below
+      continue;  // free variable, stitched analytically
     }
     MilpModel& sub = components[comp].model;
     VarId id = -1;
@@ -206,16 +177,15 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
   }
 
   // Warm-start slicing: the cycle's full-model hint projects onto each
-  // component independently (each component solver re-verifies feasibility
-  // of its slice and silently drops an infeasible one, as before).
+  // component independently (each component search re-verifies feasibility
+  // of its slice and silently drops an infeasible one).
   const bool have_warm = static_cast<int>(warm_start.size()) == n;
 
   // Budget apportionment by variable share. Node/gap/stall budgets are
   // fixed shares (they sum to 1, so total work never exceeds the monolithic
-  // budget); wall-clock is handled by a DeadlinePool below, so a component
-  // that finishes early donates its unused time to the ones still running
-  // instead of stranding it. Floors keep a tiny component from being starved
-  // below one root solve.
+  // budget); wall-clock is sliced from the solve's one deadline by a
+  // DeadlinePool when each component starts. Floors keep a tiny component
+  // from being starved below one root solve.
   int total_vars = 0;
   for (int comp = 0; comp < k; ++comp) {
     total_vars += decomp.component_vars[comp];
@@ -224,23 +194,14 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     Component& component = components[comp];
     const double share =
         static_cast<double>(decomp.component_vars[comp]) / total_vars;
-    MilpOptions inner = options;
-    inner.enable_decomposition = false;  // components are connected
-    // Presolve already ran to fixpoint on the full model; its reductions are
-    // row-local, so re-running it per component would find nothing.
-    inner.enable_presolve = false;
-    // time_limit_seconds is acquired from the pool at component start; the
-    // parent's composed CancelToken (inner.cancel, when set) stays the hard
-    // cap either way.
-    inner.max_nodes =
+    component.options = options;
+    component.options.max_nodes =
         std::max(64, static_cast<int>(options.max_nodes * share));
-    inner.abs_gap = std::max(1e-9, options.abs_gap * share);
+    component.options.abs_gap = std::max(1e-9, options.abs_gap * share);
     if (options.stall_node_limit > 0) {
-      inner.stall_node_limit =
+      component.options.stall_node_limit =
           std::max(32, static_cast<int>(options.stall_node_limit * share));
     }
-    component.options = inner;
-    component.weight = decomp.component_vars[comp];
     if (have_warm) {
       component.warm.resize(component.vars.size());
       for (size_t i = 0; i < component.vars.size(); ++i) {
@@ -248,58 +209,19 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
       }
     }
   }
-  const double extract_ms = MillisSince(extract_start);
+  return components;
+}
 
-  // ---- Concurrent component solves. Each task touches only its own slot,
-  // and each component's search is single-threaded, so the decomposed solve
-  // is deterministic regardless of pool interleaving. ---------------------
-  // Wall-clock pool over the solve budget: a component's slice is computed
-  // when it *starts*, from the time then remaining and the weight still
-  // outstanding, so early finishers' unused time flows to later components
-  // (with one thread, the last component may inherit nearly the whole
-  // remaining budget; with many, concurrent slices still sum to at most the
-  // remaining wall-clock).
-  DeadlinePool time_pool(options.time_limit_seconds, total_vars);
-  const double floor_seconds = std::min(options.time_limit_seconds, 0.005);
-  auto solve_component = [&time_pool, floor_seconds](Component& component) {
-    TETRI_SPAN("solver.component");
-    component.options.time_limit_seconds =
-        time_pool.AcquireSeconds(component.weight, floor_seconds);
-    component.result = MilpSolver(component.model, component.options)
-                           .Solve(component.warm);
-    time_pool.Release(component.weight);
-  };
-  const int pool_threads = std::min(num_workers, k);
-  if (pool_threads <= 1) {
-    for (Component& component : components) {
-      solve_component(component);
-    }
-  } else {
-    ThreadPool pool(pool_threads);
-    // Largest components first so the long poles start immediately and the
-    // small ones pack around them.
-    std::vector<int> order(k);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return decomp.component_vars[a] > decomp.component_vars[b];
-    });
-    for (int comp : order) {
-      pool.Submit([&solve_component, &components, comp] {
-        solve_component(components[comp]);
-      });
-    }
-    pool.Wait();
-  }
-
-  // ---- Stitching. --------------------------------------------------------
+MilpResult StitchComponents(const MilpModel& model, const Decomposition& decomp,
+                            const std::vector<Component>& components) {
+  const int n = model.num_vars();
   MilpResult merged;
-  merged.components = k;
-  merged.decompose_ms = detect_ms + extract_ms;
+  merged.components = static_cast<int>(components.size());
   for (const Component& component : components) {
     merged.nodes += component.result.nodes;
     merged.lp_iterations += component.result.lp_iterations;
-    merged.max_component_ms = std::max(
-        merged.max_component_ms, component.result.solve_seconds * 1e3);
+    merged.max_component_ms =
+        std::max(merged.max_component_ms, component.seconds * 1e3);
   }
 
   MilpStatus status = MilpStatus::kOptimal;
@@ -312,8 +234,6 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     // No full-model assignment can be claimed: a component proved the model
     // empty/unbounded, or ran out of budget with no vector at all.
     merged.solve_status = SolveStatus::kNoIncumbent;
-    merged.solve_seconds =
-        std::chrono::duration<double>(Clock::now() - start_time).count();
     return merged;
   }
 
@@ -342,9 +262,6 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     if (std::isinf(value)) {
       merged.status = MilpStatus::kUnbounded;
       merged.solve_status = SolveStatus::kNoIncumbent;
-      merged.values.clear();
-      merged.solve_seconds =
-          std::chrono::duration<double>(Clock::now() - start_time).count();
       return merged;
     }
     if (model.IsIntegerLike(v)) {
@@ -361,13 +278,11 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     merged.best_bound += component.result.best_bound;
   }
   SolveStatus solve_status = components[0].result.solve_status;
-  for (int comp = 1; comp < k; ++comp) {
+  for (size_t comp = 1; comp < components.size(); ++comp) {
     solve_status =
         MergeSolveStatus(solve_status, components[comp].result.solve_status);
   }
   merged.solve_status = solve_status;
-  merged.solve_seconds =
-      std::chrono::duration<double>(Clock::now() - start_time).count();
   return merged;
 }
 

@@ -16,12 +16,13 @@
 //      fixings fold fixed columns out of the remaining rows and thereby
 //      sever couplings (a culled job splits away from the supply rows it can
 //      no longer touch).
-//   2. Sub-model extraction with index remapping (original variable order is
-//      preserved inside each component, so extraction is deterministic).
-//   3. Independent MilpSolver runs per component — global time/node/stall
-//      budgets and the absolute gap are apportioned by variable share, the
-//      warm-start vector is sliced per component — followed by stitching the
-//      incumbents, bounds, statuses, and counters back into one MilpResult.
+//   2. ExtractComponents: sub-models with index remapping (original
+//      variable order is preserved inside each component, so extraction is
+//      deterministic); node/stall budgets and the absolute gap apportioned
+//      by variable share; the warm-start vector sliced per component.
+//   3. StitchComponents: after MilpSolver::Solve has searched every
+//      component, the incumbents, bounds, statuses and counters merge back
+//      into one MilpResult.
 //
 // MilpSolver::Solve consults this layer when MilpOptions::enable_decomposition
 // is set (the default): single-component models bypass it entirely and are
@@ -92,16 +93,31 @@ MilpStatus MergeMilpStatus(MilpStatus a, MilpStatus b);
 // to its degradation ladder.
 SolveStatus MergeSolveStatus(SolveStatus a, SolveStatus b);
 
-// Solves the components of `decomp` (which must satisfy Splits()) as
-// independent MilpSolver instances scheduled on a thread pool, and stitches
-// the per-component results into one MilpResult over the original variable
-// space. `warm_start`, when sized to the model, is sliced per component.
-// `detect_ms` is folded into the result's decompose_ms alongside the
-// extraction time measured here.
-MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
-                           const MilpOptions& options,
-                           std::span<const double> warm_start,
-                           double detect_ms);
+// One extracted component: the sub-model, its variable map back into the
+// original space (its size is the component's deadline-pool weight), its
+// sliced warm start, its budget share, and, once searched, its result and
+// search wall-clock.
+struct Component {
+  MilpModel model;
+  std::vector<VarId> vars;  // component variable id -> original variable id
+  std::vector<double> warm;
+  MilpOptions options;  // node/stall/abs-gap shares; other fields as given
+  MilpResult result;
+  double seconds = 0.0;
+};
+
+// Builds one Component per component of `decomp` (which must satisfy
+// Splits()). `warm_start`, when sized to the model, is sliced per component.
+std::vector<Component> ExtractComponents(const MilpModel& model,
+                                         const Decomposition& decomp,
+                                         const MilpOptions& options,
+                                         std::span<const double> warm_start);
+
+// Stitches the searched components' results into one MilpResult over the
+// original variable space; free variables sit at their objective-maximizing
+// bound. Leaves solve_seconds and decompose_ms to the caller.
+MilpResult StitchComponents(const MilpModel& model, const Decomposition& decomp,
+                            const std::vector<Component>& components);
 
 }  // namespace tetrisched
 

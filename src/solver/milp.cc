@@ -4,15 +4,19 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <queue>
 #include <vector>
 
+#include "src/common/budget.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/span.h"
+#include "src/common/thread_pool.h"
 #include "src/solver/decompose.h"
 #include "src/solver/presolve.h"
+#include "src/solver/simplex.h"
 
 namespace tetrisched {
 namespace {
@@ -21,6 +25,10 @@ using Clock = std::chrono::steady_clock;
 
 // An LP value within this distance of an integer counts as integral.
 constexpr double kIntTol = 1e-6;
+
+// Smallest deadline slice a decomposed component gets, so a tiny one is not
+// starved below one root solve; it still never reaches past the deadline.
+constexpr double kComponentFloorSeconds = 0.005;
 
 // Registry-backed solver instruments (DESIGN.md §10). The phase histograms
 // attribute each solve's wall-clock to presolve / LP pricing / B&B search;
@@ -159,23 +167,15 @@ std::vector<double> RoundedCopy(const MilpModel& model,
   return rounded;
 }
 
-}  // namespace
-
-MilpSolver::MilpSolver(const MilpModel& model, MilpOptions options)
-    : model_(model), options_(options) {}
-
-MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
-  const auto start_time = Clock::now();
-  auto elapsed = [&]() {
-    return std::chrono::duration<double>(Clock::now() - start_time).count();
-  };
+// One branch-and-bound search of `model` under `deadline`: best-bound node
+// order on the calling thread, so node order, node counts and the result
+// depend on the model and the options alone unless the deadline cuts the
+// search. Leaves solve_seconds to the caller.
+MilpResult Search(const MilpModel& model, const MilpOptions& options,
+                  Deadline deadline, std::span<const double> warm_start) {
   SolverInstruments& ins = Instruments();
-  auto millis_since = [](Clock::time_point since) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - since)
-        .count();
-  };
   // Per-LP-call latency only reads the clock when observability is on; the
-  // iteration counter flush happens at the call sites as before.
+  // iteration counter flush happens at the call sites.
   auto timed_lp = [&](LpSolver& lp, std::span<const double> lo,
                       std::span<const double> hi,
                       const LpBasis* warm) -> LpResult {
@@ -184,113 +184,14 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     }
     const auto lp_start = Clock::now();
     LpResult lp_result = lp.Solve(lo, hi, warm);
-    ins.lp_ms->Observe(millis_since(lp_start));
+    ins.lp_ms->Observe(
+        std::chrono::duration<double, std::milli>(Clock::now() - lp_start)
+            .count());
     return lp_result;
   };
 
-  // A non-positive budget means "no solve attempt": report no-incumbent
-  // explicitly so callers exercise their degradation path instead of
-  // misreading a trivially empty plan as a decision.
-  if (options_.time_limit_seconds <= 0.0) {
-    MilpResult result;
-    result.status = MilpStatus::kNoSolution;
-    result.solve_status = SolveStatus::kNoIncumbent;
-    result.solve_seconds = elapsed();
-    return result;
-  }
-
-  // Hard deadline for this solve: the internal wall-clock limit composed
-  // with any external token (earliest wins). Threaded through every LP solve
-  // below — root, nodes, diving, presolve recursion, decomposed components
-  // — so expiry is honored inside a pivot loop, not just at node boundaries.
-  CancelToken deadline;
-  deadline.ArmAfterSeconds(options_.time_limit_seconds);
-  if (options_.cancel != nullptr &&
-      options_.cancel->deadline_nanos() < deadline.deadline_nanos()) {
-    deadline.ArmAtNanos(options_.cancel->deadline_nanos());
-  }
-
-  if (options_.enable_presolve) {
-    const auto presolve_start = Clock::now();
-    // The presolve span pauses around the recursive solve of the reduced
-    // model (which reports its own setup/root/branch_and_bound spans as
-    // siblings) so trace durations stay additive, then resumes for the
-    // solution-restore tail.
-    std::optional<ScopedSpan> presolve_span;
-    presolve_span.emplace("solver.presolve");
-    Presolver presolver(model_);
-    ins.presolve_fixed_vars->Increment(presolver.num_fixed_vars());
-    ins.presolve_dropped_rows->Increment(presolver.num_dropped_rows());
-    if (presolver.infeasible()) {
-      ins.presolve_ms->Observe(millis_since(presolve_start));
-      MilpResult result;
-      result.status = MilpStatus::kInfeasible;
-      result.solve_seconds = elapsed();
-      return result;
-    }
-    if (presolver.num_fixed_vars() > 0 ||
-        presolver.num_dropped_rows() > 0) {
-      std::vector<double> projected_warm;
-      if (!warm_start.empty() &&
-          static_cast<int>(warm_start.size()) == model_.num_vars()) {
-        projected_warm = presolver.ProjectSolution(warm_start);
-      }
-      MilpOptions inner_options = options_;
-      inner_options.enable_presolve = false;
-      // The inner solve restarts its elapsed clock; the composed token keeps
-      // the original absolute deadline binding across the recursion.
-      inner_options.cancel = &deadline;
-      MilpSolver inner(presolver.reduced(), inner_options);
-      // Reduction work ends here; the inner solve reports its own lp /
-      // branch_and_bound phases against the reduced model.
-      ins.presolve_ms->Observe(millis_since(presolve_start));
-      presolve_span.reset();
-      MilpResult result = inner.Solve(projected_warm);
-      presolve_span.emplace("solver.presolve");
-      if (result.HasSolution()) {
-        result.values = presolver.RestoreSolution(result.values);
-        result.objective = model_.ObjectiveValue(result.values);
-      }
-      result.best_bound += presolver.objective_offset();
-      result.solve_seconds = elapsed();
-      return result;
-    }
-    ins.presolve_ms->Observe(millis_since(presolve_start));
-  }
-
-  // Component decomposition (decompose.h / DESIGN.md §12). Runs on the
-  // post-presolve model: by this point presolve either found nothing (we fell
-  // through above) or this is the inner recursion's frame solving the reduced
-  // model, whose severed couplings are exactly what detection exploits. When
-  // the model splits, each component is solved as an independent MilpSolver
-  // (with enable_decomposition off) and the stitched result returns here;
-  // single-component models fall through to the monolithic search below with
-  // nothing but an O(nonzeros) detection pass spent.
-  if (options_.enable_decomposition) {
-    std::optional<ScopedSpan> decompose_span;
-    decompose_span.emplace("solver.decompose");
-    const auto detect_start = Clock::now();
-    Decomposition decomp = DetectComponents(model_);
-    const double detect_ms = millis_since(detect_start);
-    ins.decompose_ms->Observe(detect_ms);
-    ins.components->Observe(std::max(1, decomp.num_components));
-    ins.largest_component_vars->Observe(decomp.largest_component_vars());
-    if (decomp.Splits()) {
-      // Component solves flush their own node / LP-iteration / solve totals
-      // into the registry; the stitched frame adds nothing on top. Each
-      // component composes its pooled slice with this solve's deadline.
-      MilpOptions decomposed_options = options_;
-      decomposed_options.cancel = &deadline;
-      MilpResult decomposed = SolveDecomposed(model_, decomp,
-                                              decomposed_options, warm_start,
-                                              detect_ms);
-      decomposed.solve_seconds = elapsed();
-      return decomposed;
-    }
-  }
-
   MilpResult result;
-  const int n = model_.num_vars();
+  const int n = model.num_vars();
 
   // Covers tableau construction and incumbent seeding (the work between
   // presolve and the root relaxation); closed just before the root LP so
@@ -298,14 +199,14 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   std::optional<ScopedSpan> setup_span;
   setup_span.emplace("solver.setup");
 
-  LpOptions lp_options = options_.lp;
-  lp_options.cancel = &deadline;
-  LpSolver root_lp(model_, lp_options);
+  LpOptions lp_options;
+  lp_options.deadline = deadline;
+  LpSolver root_lp(model, lp_options);
 
   std::vector<double> root_lower(n), root_upper(n);
   for (int v = 0; v < n; ++v) {
-    root_lower[v] = model_.lower_bound(v);
-    root_upper[v] = model_.upper_bound(v);
+    root_lower[v] = model.lower_bound(v);
+    root_upper[v] = model.upper_bound(v);
   }
 
   NodeQueue open;
@@ -324,10 +225,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   auto finalize_counts = [&]() {
     result.nodes = nodes;
     result.lp_iterations = lp_iterations;
-    result.solve_seconds = elapsed();
-    // Flush this solve's totals into the process-wide registry. The
-    // presolve-recursion path never reaches here in the outer frame, so the
-    // inner solve's flush is the only one and nothing double-counts.
+    // Flush this search's totals into the process-wide registry.
     ins.solves->Increment();
     ins.nodes->Increment(result.nodes);
     ins.lp_iterations->Increment(result.lp_iterations);
@@ -335,11 +233,11 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
 
   auto offer_incumbent = [&](std::span<const double> values,
                              bool from_search = true) {
-    std::vector<double> rounded = RoundedCopy(model_, values);
-    if (!model_.IsFeasible(rounded, 1e-5)) {
+    std::vector<double> rounded = RoundedCopy(model, values);
+    if (!model.IsFeasible(rounded, 1e-5)) {
       return;
     }
-    double obj = model_.ObjectiveValue(rounded);
+    double obj = model.ObjectiveValue(rounded);
     if (!have_incumbent || obj > incumbent_obj) {
       // Any strict improvement resets the stall counter, including the very
       // first incumbent (the zero-clamped fallback or a warm start).
@@ -372,10 +270,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       return false;
     }
     double gap = bound - incumbent_obj;
-    if (gap <= options_.abs_gap) {
+    if (gap <= options.abs_gap) {
       return true;
     }
-    return gap <= options_.rel_gap * std::max(std::abs(incumbent_obj), 1e-9);
+    return gap <= options.rel_gap * std::max(std::abs(incumbent_obj), 1e-9);
   };
 
   // Diving heuristic: from a fractional LP point, repeatedly fix the most
@@ -391,7 +289,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     LpBasis basis;
     const LpBasis* warm = start_basis;
     for (int step = 0; step < 2 * n + 16; ++step) {
-      int v = MostFractionalVar(model_, relax.values);
+      int v = MostFractionalVar(model, relax.values);
       if (v < 0) {
         offer_incumbent(relax.values);
         return;
@@ -490,7 +388,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   const bool root_solved = root.status == LpStatus::kOptimal;
   if (!root_solved) {
     TETRI_LOG(kWarning) << "LP iteration limit at root; no root bound";
-  } else if (MostFractionalVar(model_, root.values) < 0) {
+  } else if (MostFractionalVar(model, root.values) < 0) {
     offer_incumbent(root.values);
     result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
@@ -528,23 +426,21 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
 
   root_span.reset();
 
-  // Best-bound branch and bound on the calling thread, so node order, node
-  // counts and the result depend on the model and the options alone, unless
-  // the wall-clock limit cuts the search. `lp` carries the warm-start basis
-  // of the last node it solved.
+  // Best-bound branch and bound; `lp` carries the warm-start basis of the
+  // last node it solved.
+  double bnb_seconds = 0.0;
   {
-    TETRI_SPAN("solver.branch_and_bound");
-    const auto bnb_start = Clock::now();
-    LpSolver lp(model_, lp_options);
+    ScopedSpan bnb_span("solver.branch_and_bound", &bnb_seconds);
+    LpSolver lp(model, lp_options);
     LpBasis last_basis = root_basis;
     std::vector<double> lower(n), upper(n);
     while (!open.empty()) {
-      if (nodes >= options_.max_nodes || deadline.Expired()) {
+      if (nodes >= options.max_nodes || deadline.Expired()) {
         limits_hit = true;
         break;
       }
-      if (options_.stall_node_limit > 0 && have_incumbent &&
-          nodes_since_improvement >= options_.stall_node_limit) {
+      if (options.stall_node_limit > 0 && have_incumbent &&
+          nodes_since_improvement >= options.stall_node_limit) {
         limits_hit = true;
         stall_hit = true;
         break;
@@ -554,7 +450,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       }
       std::shared_ptr<const Node> node = open.top();
       open.pop();
-      if (have_incumbent && node->bound <= incumbent_obj + options_.abs_gap) {
+      if (have_incumbent && node->bound <= incumbent_obj + options.abs_gap) {
         continue;  // cannot improve on the incumbent
       }
 
@@ -589,10 +485,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       }
       last_basis = lp.BasisSnapshot();
       const double node_bound = std::min(node->bound, relax.objective);
-      if (have_incumbent && node_bound <= incumbent_obj + options_.abs_gap) {
+      if (have_incumbent && node_bound <= incumbent_obj + options.abs_gap) {
         continue;
       }
-      const int branch_var = MostFractionalVar(model_, relax.values);
+      const int branch_var = MostFractionalVar(model, relax.values);
       if (branch_var < 0) {
         offer_incumbent(relax.values);
         continue;
@@ -621,8 +517,8 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       up->delta = {branch_var, std::ceil(branch_x), kInfinity};
       open.push(std::move(up));
     }
-    ins.branch_and_bound_ms->Observe(millis_since(bnb_start));
   }
+  ins.branch_and_bound_ms->Observe(1e3 * bnb_seconds);
 
   // Result assembly (incumbent copy, status classification) until return.
   TETRI_SPAN("solver.finalize");
@@ -643,7 +539,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   result.best_bound = std::max(result.best_bound, incumbent_obj);
   result.objective = incumbent_obj;
   result.values = incumbent;
-  if (result.best_bound <= incumbent_obj + options_.abs_gap) {
+  if (result.best_bound <= incumbent_obj + options.abs_gap) {
     result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
   } else if (gap_satisfied(result.best_bound)) {
@@ -661,6 +557,151 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     }
   }
   return result;
+}
+
+// Searches every component under its slice of `deadline`, side by side on
+// a pool of up to `num_threads` threads (0 = one per hardware thread), and
+// stitches the results. Each component searches single-threaded and writes
+// only its own slot, so the stitched result does not depend on how the pool
+// interleaves them.
+MilpResult SearchComponents(const MilpModel& model,
+                            const Decomposition& decomp,
+                            std::vector<Component>& components,
+                            Deadline deadline, int num_threads) {
+  // Each component weighs its variable count. Its slice is computed when it
+  // *starts*, from the time then left before the deadline and the weight
+  // still outstanding, so early finishers' unused time flows to later ones.
+  double total_weight = 0.0;
+  for (const Component& component : components) {
+    total_weight += component.vars.size();
+  }
+  DeadlinePool time_pool(deadline, total_weight);
+  auto search_component = [&time_pool](Component& component) {
+    ScopedSpan span("solver.component", &component.seconds);
+    const double weight = component.vars.size();
+    component.result = Search(component.model, component.options,
+                              time_pool.Acquire(weight, kComponentFloorSeconds),
+                              component.warm);
+    time_pool.Release(weight);
+  };
+  const int k = static_cast<int>(components.size());
+  const int pool_threads = std::min(
+      k, num_threads > 0 ? num_threads : ThreadPool::HardwareThreads());
+  if (pool_threads <= 1) {
+    for (Component& component : components) {
+      search_component(component);
+    }
+  } else {
+    ThreadPool pool(pool_threads);
+    // Largest components first so the long poles start immediately and the
+    // small ones pack around them.
+    std::vector<int> order(k);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return components[a].vars.size() > components[b].vars.size();
+    });
+    for (int comp : order) {
+      pool.Submit([&search_component, &components, comp] {
+        search_component(components[comp]);
+      });
+    }
+    pool.Wait();
+  }
+  return StitchComponents(model, decomp, components);
+}
+
+}  // namespace
+
+MilpSolver::MilpSolver(const MilpModel& model, MilpOptions options)
+    : model_(model), options_(options) {}
+
+MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
+  const auto start_time = Clock::now();
+  auto finish = [start_time](MilpResult result) {
+    result.solve_seconds =
+        std::chrono::duration<double>(Clock::now() - start_time).count();
+    return result;
+  };
+  // A non-positive budget means "no solve attempt": report no-incumbent
+  // explicitly so callers exercise their degradation path instead of
+  // misreading a trivially empty plan as a decision.
+  if (options_.time_limit_seconds <= 0.0) {
+    MilpResult result;
+    result.status = MilpStatus::kNoSolution;
+    result.solve_status = SolveStatus::kNoIncumbent;
+    return finish(std::move(result));
+  }
+  SolverInstruments& ins = Instruments();
+  // The solve's one deadline. Every LP below polls it, so expiry is honored
+  // inside a pivot loop, not just at node boundaries; decomposed components
+  // get slices of it.
+  const Deadline deadline = Deadline::AfterSeconds(options_.time_limit_seconds);
+
+  // 1. Presolve (presolve.h). When it reduces anything, every later stage
+  // works on the reduced model and a warm start projected onto it.
+  const MilpModel* model = &model_;
+  std::span<const double> warm = warm_start;
+  std::optional<Presolver> presolver;
+  std::vector<double> projected_warm;
+  if (options_.enable_presolve) {
+    double presolve_seconds = 0.0;
+    {
+      ScopedSpan span("solver.presolve", &presolve_seconds);
+      presolver.emplace(model_);
+      if (!presolver->infeasible() && (presolver->num_fixed_vars() > 0 ||
+                                       presolver->num_dropped_rows() > 0)) {
+        model = &presolver->reduced();
+        if (static_cast<int>(warm_start.size()) == model_.num_vars()) {
+          projected_warm = presolver->ProjectSolution(warm_start);
+        }
+        warm = projected_warm;
+      }
+    }
+    ins.presolve_ms->Observe(1e3 * presolve_seconds);
+    ins.presolve_fixed_vars->Increment(presolver->num_fixed_vars());
+    ins.presolve_dropped_rows->Increment(presolver->num_dropped_rows());
+    if (presolver->infeasible()) {
+      MilpResult result;
+      result.status = MilpStatus::kInfeasible;
+      return finish(std::move(result));
+    }
+  }
+
+  // 2. Component detection (decompose.h / DESIGN.md §12), after presolve,
+  // whose fixings sever couplings the raw model hides.
+  Decomposition decomp;
+  std::vector<Component> components;
+  double decompose_seconds = 0.0;
+  if (options_.enable_decomposition) {
+    {
+      ScopedSpan span("solver.decompose", &decompose_seconds);
+      decomp = DetectComponents(*model);
+      if (decomp.Splits()) {
+        components = ExtractComponents(*model, decomp, options_, warm);
+      }
+    }
+    ins.decompose_ms->Observe(1e3 * decompose_seconds);
+    ins.components->Observe(std::max(1, decomp.num_components));
+    ins.largest_component_vars->Observe(decomp.largest_component_vars());
+  }
+
+  // 3-4. One search per component, stitched, or one for the whole model.
+  MilpResult result =
+      components.empty()
+          ? Search(*model, options_, deadline, warm)
+          : SearchComponents(*model, decomp, components, deadline,
+                             options_.num_threads);
+  result.decompose_ms = 1e3 * decompose_seconds;
+
+  // 5. Restore through presolve.
+  if (model != &model_) {
+    if (result.HasSolution()) {
+      result.values = presolver->RestoreSolution(result.values);
+      result.objective = model_.ObjectiveValue(result.values);
+    }
+    result.best_bound += presolver->objective_offset();
+  }
+  return finish(std::move(result));
 }
 
 }  // namespace tetrisched

@@ -6,6 +6,11 @@
 // incumbent (the previous cycle's schedule). If the budget expires, the best
 // incumbent found so far is returned rather than failing.
 //
+// Solve is one pipeline under one deadline: presolve once, detect
+// components once, run one branch-and-bound search per component (or one
+// for the whole model), then stitch the components and restore through
+// presolve (DESIGN.md §12, §13).
+//
 // Search: best-bound node selection, most-fractional branching, and a diving
 // heuristic at the root (and every 64th node) to obtain an incumbent
 // quickly. The tree is explored on the calling thread, so node order, node
@@ -20,7 +25,6 @@
 #include <vector>
 
 #include "src/solver/model.h"
-#include "src/solver/simplex.h"
 #include "src/solver/solve_status.h"
 
 namespace tetrisched {
@@ -38,6 +42,11 @@ struct MilpOptions {
   double rel_gap = 0.10;         // paper: "within 10% of the optimal"
   double abs_gap = 1e-6;
   int max_nodes = 20000;
+  // Wall-clock budget of the whole solve: one deadline, armed when Solve
+  // starts and polled inside every LP solve (budget.h, DESIGN.md §13), so a
+  // solve cut off mid-LP returns the best incumbent so far with
+  // SolveStatus::kTimeLimit, never a torn result. Decomposed components
+  // share it through a DeadlinePool.
   double time_limit_seconds = 10.0;
   // Stop after this many B&B nodes without incumbent improvement and return
   // the incumbent (status kFeasible). 0 disables. The equivalent of a
@@ -59,17 +68,6 @@ struct MilpOptions {
   // searched single-threaded, so the result does not depend on this value
   // unless wall-clock limits bind.
   int num_threads = 0;
-  // External cooperative deadline (budget.h), composed with
-  // time_limit_seconds: the solve arms an internal token at whichever
-  // deadline comes first and threads it through the root LP, presolve
-  // recursion, every branch-and-bound node's LP solve, the diving
-  // heuristic, and each decomposed component, so the wall-clock limit is
-  // honored *inside* an LP solve rather than only at node boundaries. A solve
-  // cut off mid-LP returns the best incumbent so far with
-  // SolveStatus::kTimeLimit — never a torn result. Not owned; nullptr (or an
-  // unarmed token) leaves only the internal time_limit_seconds deadline.
-  const CancelToken* cancel = nullptr;
-  LpOptions lp;
 };
 
 struct MilpResult {
@@ -89,8 +87,8 @@ struct MilpResult {
   double solve_seconds = 0.0;
   // Decomposition breakdown (DESIGN.md §12): number of independent
   // components solved (1 = monolithic / bypass), wall-clock spent detecting
-  // and extracting them, and the slowest single component solve. When
-  // components == 1 the two timings stay 0 except for detection cost.
+  // and extracting them (the solver.decompose span), and the slowest single
+  // component search. Without a split only the detection cost is nonzero.
   int components = 1;
   double decompose_ms = 0.0;
   double max_component_ms = 0.0;

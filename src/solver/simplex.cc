@@ -11,8 +11,8 @@ namespace tetrisched {
 namespace {
 
 // Pivot iterations between cooperative deadline polls (power of two; each
-// poll is one atomic load plus one clock read, so this just keeps the clock
-// off the per-pivot path).
+// poll is one clock read, so this just keeps the clock off the per-pivot
+// path).
 constexpr int kCancelPollMask = 15;
 
 // Fixed numerics of the pivot loop.
@@ -197,8 +197,7 @@ bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
   // falls back to the slack basis, and Iterate notices the expiry on its
   // first poll).
   for (int col = 0; col < m_; ++col) {
-    if (options_.cancel != nullptr && (col & kCancelPollMask) == 0 &&
-        options_.cancel->Expired()) {
+    if ((col & kCancelPollMask) == 0 && options_.deadline.Expired()) {
       return false;
     }
     int pivot_row = col;
@@ -249,7 +248,7 @@ void LpSolver::RefactorizeOrReset() {
   if (!InstallWarmBasis(snapshot)) {
     // A cancelled rebuild is expected (Iterate returns kCancelled right
     // after); only a genuinely singular basis deserves the warning.
-    if (options_.cancel == nullptr || !options_.cancel->Expired()) {
+    if (!options_.deadline.Expired()) {
       TETRI_LOG(kWarning) << "singular basis during refactorization; resetting";
     }
     InstallSlackBasis();
@@ -332,8 +331,8 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
   bool was_bland = false;
 
   while (true) {
-    if (options_.cancel != nullptr && (cancel_poll++ & kCancelPollMask) == 0 &&
-        options_.cancel->Expired()) {
+    if ((cancel_poll++ & kCancelPollMask) == 0 &&
+        options_.deadline.Expired()) {
       return LpStatus::kCancelled;
     }
     if (*iterations_left <= 0) {

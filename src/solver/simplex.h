@@ -35,7 +35,7 @@ enum class LpStatus {
   kInfeasible,
   kUnbounded,
   kIterationLimit,
-  // Cooperative cancellation (LpOptions::cancel expired mid-solve). The
+  // Cooperative cancellation (LpOptions::deadline passed mid-solve). The
   // result carries no values: a cancelled solve is abandoned, never torn.
   kCancelled,
 };
@@ -46,10 +46,9 @@ struct LpOptions {
   // <= 0 engages Bland's rule from the first pivot.
   int bland_pivot_limit = 256;
   // Cooperative deadline, polled every few pivots inside Iterate and per
-  // column during warm-basis refactorization. Not owned; must outlive the
-  // solver. nullptr (default) or an unarmed token never reads the clock, so
-  // the plumbing is inert unless a deadline is actually armed.
-  const CancelToken* cancel = nullptr;
+  // column during warm-basis refactorization. The default never expires and
+  // never reads the clock.
+  Deadline deadline;
 };
 
 // Basis snapshot for warm starting (opaque to callers).

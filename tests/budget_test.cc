@@ -1,5 +1,5 @@
-// Cycle deadline enforcement tests (DESIGN.md §13): CancelToken plumbing,
-// mid-LP cooperative cancellation, deadline-pool donation, the AIMD overload
+// Cycle deadline enforcement tests (DESIGN.md §13): mid-LP cooperative
+// cancellation at the solve's deadline, deadline-pool slicing and donation, the AIMD overload
 // controller, the independent plan certifier, and crash-recovery round-trips
 // of adapted plan-ahead state.
 
@@ -67,54 +67,39 @@ MilpModel AdversarialModel(int num_vars, int num_rows, uint64_t seed) {
   return model;
 }
 
-TEST(CancelTokenTest, UnarmedNeverExpires) {
-  CancelToken token;
-  EXPECT_FALSE(token.armed());
-  EXPECT_FALSE(token.Expired());
-  EXPECT_EQ(token.deadline_nanos(), CancelToken::kUnarmed);
-}
-
-TEST(CancelTokenTest, ArmCancelDisarm) {
-  CancelToken token;
-  token.ArmAfterSeconds(1000.0);
-  EXPECT_TRUE(token.armed());
-  EXPECT_FALSE(token.Expired());
-  EXPECT_GT(token.RemainingSeconds(), 900.0);
-  token.Cancel();
-  EXPECT_TRUE(token.Expired());
-  token.Disarm();
-  EXPECT_FALSE(token.armed());
-  EXPECT_FALSE(token.Expired());
-}
-
-TEST(CancelTokenTest, EarliestDeadlineComposes) {
-  CancelToken far;
-  CancelToken composed;
-  far.ArmAfterSeconds(1000.0);
-  composed.ArmAfterSeconds(2000.0);
-  if (far.deadline_nanos() < composed.deadline_nanos()) {
-    composed.ArmAtNanos(far.deadline_nanos());
-  }
-  EXPECT_EQ(composed.deadline_nanos(), far.deadline_nanos());
+// Seconds from now until `deadline`.
+double SecondsUntil(Deadline deadline) {
+  return std::chrono::duration<double>(deadline.at() -
+                                       Deadline::Clock::now())
+      .count();
 }
 
 TEST(DeadlinePoolTest, EarlyFinisherDonatesTime) {
-  // Two equal-weight claimants against a 100 s pool. Sequentially, the first
-  // gets ~half; once it releases, the second's share is computed against the
-  // remaining outstanding weight and absorbs the donated half.
-  DeadlinePool pool(100.0, 2.0);
-  double first = pool.AcquireSeconds(1.0, 0.001);
-  EXPECT_NEAR(first, 50.0, 1.0);
+  // Two equal-weight claimants slicing a deadline 100 s away. Sequentially,
+  // the first gets ~half; once it releases, the second's share is computed
+  // against the remaining outstanding weight and absorbs the donated half.
+  DeadlinePool pool(Deadline::AfterSeconds(100.0), 2.0);
+  EXPECT_NEAR(SecondsUntil(pool.Acquire(1.0, 0.001)), 50.0, 1.0);
   pool.Release(1.0);
-  double second = pool.AcquireSeconds(1.0, 0.001);
-  EXPECT_GT(second, 90.0);
+  EXPECT_GT(SecondsUntil(pool.Acquire(1.0, 0.001)), 90.0);
   pool.Release(1.0);
 }
 
 TEST(DeadlinePoolTest, FloorAppliesWhenExhausted) {
-  DeadlinePool pool(0.0, 4.0);
-  EXPECT_DOUBLE_EQ(pool.AcquireSeconds(1.0, 0.005), 0.005);
+  // A share that rounds to nothing is raised to the floor...
+  const Deadline end = Deadline::AfterSeconds(100.0);
+  DeadlinePool pool(end, 1e12);
+  const Deadline slice = pool.Acquire(1.0, 5.0);
+  EXPECT_NEAR(SecondsUntil(slice), 5.0, 1.0);
+  EXPECT_LT(slice.at(), end.at());
   pool.Release(1.0);
+  // ...but never past the pool's own deadline: a spent pool hands out a
+  // deadline that has already passed.
+  DeadlinePool spent(Deadline::AfterSeconds(0.0), 4.0);
+  EXPECT_TRUE(spent.Acquire(1.0, 0.005).Expired());
+  // A pool over a deadline that never expires hands out the same.
+  DeadlinePool unbounded(Deadline(), 4.0);
+  EXPECT_TRUE(unbounded.Acquire(1.0, 0.005).never());
 }
 
 TEST(AimdControllerTest, TrajectoryIsDeterministic) {
@@ -168,10 +153,9 @@ TEST(AimdControllerTest, RestoreStateRoundTrips) {
 
 TEST(CancelTest, ExpiredTokenAbandonsLpImmediately) {
   MilpModel model = AdversarialModel(120, 120, 7);
-  CancelToken cancel;
-  cancel.Cancel();
   LpOptions options;
-  options.cancel = &cancel;
+  options.deadline =
+      Deadline(Deadline::Clock::now() - std::chrono::seconds(1));
   LpResult result = LpSolver(model, options).Solve();
   EXPECT_EQ(result.status, LpStatus::kCancelled);
   EXPECT_TRUE(result.values.empty());
@@ -218,50 +202,6 @@ TEST(CancelTest, DeadlineHonoredMidLpParallel) {
   if (result.HasSolution()) {
     CertifyReport report = CertifyPlan(model, result, options);
     EXPECT_TRUE(report.ok) << report.failure;
-  }
-}
-
-TEST(CancelTest, ExternalTokenCutsLongConfiguredLimit) {
-  // An already-expired external token overrides a generous configured limit:
-  // the composed deadline is the earlier of the two.
-  MilpModel model = AdversarialModel(200, 200, 17);
-  CancelToken external;
-  external.Cancel();
-  MilpOptions options;
-  options.time_limit_seconds = 30.0;
-  options.cancel = &external;
-  auto start = std::chrono::steady_clock::now();
-  MilpResult result = MilpSolver(model, options).Solve();
-  EXPECT_LE(SecondsSince(start), kWallClockSlop);
-  // Only the trivial zero-clamped fallback can exist this early; the solve
-  // must say so, and the scheduler treats kNoIncumbent as "no schedule".
-  EXPECT_EQ(result.solve_status, SolveStatus::kNoIncumbent);
-  if (result.HasSolution()) {
-    EXPECT_DOUBLE_EQ(result.objective, 0.0);
-  }
-}
-
-TEST(CancelTest, DistantTokenPreservesDeterministicSearch) {
-  // An armed-but-far token must take the exact same search path as no token:
-  // the poll sites only read the clock, never change pivoting or branching.
-  MilpModel model = AdversarialModel(40, 20, 23);
-  MilpOptions base;
-  base.num_threads = 1;
-  base.time_limit_seconds = 30.0;
-  MilpResult plain = MilpSolver(model, base).Solve();
-
-  CancelToken distant;
-  distant.ArmAfterSeconds(3600.0);
-  MilpOptions with_token = base;
-  with_token.cancel = &distant;
-  MilpResult tokened = MilpSolver(model, with_token).Solve();
-
-  EXPECT_EQ(plain.status, tokened.status);
-  EXPECT_EQ(plain.nodes, tokened.nodes);
-  EXPECT_DOUBLE_EQ(plain.objective, tokened.objective);
-  ASSERT_EQ(plain.values.size(), tokened.values.size());
-  for (size_t i = 0; i < plain.values.size(); ++i) {
-    EXPECT_DOUBLE_EQ(plain.values[i], tokened.values[i]) << "var " << i;
   }
 }
 

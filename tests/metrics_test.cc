@@ -19,6 +19,7 @@
 #include "src/sim/trace.h"
 #include "src/solver/milp.h"
 #include "src/solver/model.h"
+#include "tests/solver_models.h"
 
 namespace tetrisched {
 namespace {
@@ -320,6 +321,98 @@ TEST(SpanTest, SchedulerPhaseSpansMatchCycleStats) {
           << scheduler.name() << " " << phase.name;
     }
   }
+}
+
+// The solver keeps the same rule: a solve that presolve reduces and that
+// splits into components records one presolve and one decompose sample, one
+// branch-and-bound sample per component search that branched, and each
+// sample comes from the same two clock readings as its span.
+TEST(SpanTest, SolverPhaseSpansMatchHistograms) {
+  ObservabilityGuard guard;
+  // Two blocks coupled only through z, which a singleton row pins to 0:
+  // presolve fixes z, folds it out of both coupling rows, and the reduced
+  // model splits in two.
+  MilpModel model;
+  AddDemandSupplyBlock(model, 3, 3.0);  // vars 0..5
+  AddDemandSupplyBlock(model, 3, 3.0);  // vars 6..11
+  VarId z = model.AddBinaryVar("z");
+  model.AddConstraint({{0, 1.0}, {z, 1.0}}, ConstraintSense::kLessEqual, 2.0);
+  model.AddConstraint({{6, 1.0}, {z, 1.0}}, ConstraintSense::kLessEqual, 2.0);
+  model.AddConstraint({{z, 1.0}}, ConstraintSense::kLessEqual, 0.0);
+
+  MetricsRegistry& registry = GlobalMetrics();
+  Counter* solves = registry.GetCounter("tetrisched_solver_solves_total");
+  struct Phase {
+    const char* span;
+    Histogram* histogram;
+    int64_t count_before = 0;
+    double sum_before = 0.0;
+  } phases[] = {
+      {"solver.presolve",
+       registry.GetHistogram("tetrisched_phase_presolve_ms")},
+      {"solver.decompose",
+       registry.GetHistogram("tetrisched_phase_decompose_ms")},
+      {"solver.branch_and_bound",
+       registry.GetHistogram("tetrisched_phase_branch_and_bound_ms")},
+  };
+  for (Phase& phase : phases) {
+    phase.count_before = phase.histogram->count();
+    phase.sum_before = phase.histogram->sum();
+  }
+  const int64_t solves_before = solves->value();
+
+  MilpOptions options;
+  options.rel_gap = 0.0;
+  options.time_limit_seconds = 30.0;
+  options.num_threads = 1;
+  SetObservabilityEnabled(true);
+  SpanCollector::Global().Clear();
+  MilpResult result = MilpSolver(model, options).Solve();
+  SetObservabilityEnabled(false);
+  std::vector<SpanRecord> spans = SpanCollector::Global().Snapshot();
+  SpanCollector::Global().Clear();
+
+  ASSERT_TRUE(result.HasSolution());
+  ASSERT_EQ(result.components, 2);
+  EXPECT_EQ(solves->value() - solves_before, result.components);
+  auto span_ms = [&spans](const char* name, int* count, double* max_ms) {
+    double total = 0.0;
+    for (const SpanRecord& span : spans) {
+      if (std::string_view(span.name) == name) {
+        const double ms = 1e-3 * static_cast<double>(span.duration_us);
+        ++*count;
+        total += ms;
+        *max_ms = std::max(*max_ms, ms);
+      }
+    }
+    return total;
+  };
+  for (const Phase& phase : phases) {
+    int count = 0;
+    double max_ms = 0.0;
+    const double total_ms = span_ms(phase.span, &count, &max_ms);
+    const int64_t samples = phase.histogram->count() - phase.count_before;
+    EXPECT_EQ(samples, count) << phase.span;
+    if (std::string_view(phase.span) == "solver.branch_and_bound") {
+      EXPECT_GE(samples, 1);
+      EXPECT_LE(samples, result.components);
+    } else {
+      EXPECT_EQ(samples, 1) << phase.span;
+    }
+    // Spans round down to whole microseconds.
+    EXPECT_NEAR(total_ms, phase.histogram->sum() - phase.sum_before,
+                1e-3 * count)
+        << phase.span;
+    if (std::string_view(phase.span) == "solver.decompose") {
+      EXPECT_NEAR(total_ms, result.decompose_ms, 1e-3);
+    }
+  }
+  // The slowest component span is the result's max_component_ms.
+  int components = 0;
+  double max_component_ms = 0.0;
+  span_ms("solver.component", &components, &max_component_ms);
+  EXPECT_EQ(components, result.components);
+  EXPECT_NEAR(max_component_ms, result.max_component_ms, 1e-3);
 }
 
 TEST(SolverObservabilityTest, SolvePopulatesPhaseInstruments) {
