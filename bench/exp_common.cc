@@ -58,7 +58,6 @@ std::unique_ptr<SchedulerPolicy> MakePolicy(const Cluster& cluster,
   }
   config.milp.time_limit_seconds = spec.milp_time_limit;
   config.milp.max_nodes = spec.milp_max_nodes;
-  config.milp.num_threads = spec.milp_num_threads;
   config.milp.enable_decomposition = spec.milp_decomposition;
   return std::make_unique<TetriScheduler>(cluster, config);
 }

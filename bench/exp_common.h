@@ -51,8 +51,6 @@ struct ExperimentSpec {
   // MILP budget per cycle; the paper bounds CPLEX the same way (§3.2.2).
   double milp_time_limit = 0.15;
   int milp_max_nodes = 1500;
-  // Branch-and-bound workers per solve (0 = one per hardware thread).
-  int milp_num_threads = 0;
   // Component decomposition of the cycle MILP (solver/decompose.h). On by
   // default; benches toggle it off for the monolithic baseline.
   bool milp_decomposition = true;

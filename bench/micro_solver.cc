@@ -150,7 +150,6 @@ void BM_MilpSolveDecomposition(benchmark::State& state) {
   MilpModel model = BlockPackingModel(6, 14, 7, 42);
   MilpOptions options;
   options.time_limit_seconds = 30.0;
-  options.num_threads = 1;
   options.enable_decomposition = state.range(0) != 0;
   for (auto _ : state) {
     MilpResult result = MilpSolver(model, options).Solve();
@@ -274,7 +273,6 @@ void EmitBenchJson() {
       MilpOptions options;
       options.time_limit_seconds = 60.0;
       options.max_nodes = 100000000;  // let both sides terminate at the gap
-      options.num_threads = 1;
       options.enable_decomposition = decomposed;
       MilpResult result = MilpSolver(blocks, options).Solve();
       writer.Add(decomposed ? "milp_block6_decomposed" : "milp_block6_monolithic",

@@ -20,7 +20,6 @@ Deadline DeadlinePool::Acquire(double weight, double floor_seconds) {
   if (end_.never()) {
     return end_;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   const Deadline::Clock::time_point now = Deadline::Clock::now();
   const double remaining =
       std::max(std::chrono::duration<double>(end_.at() - now).count(), 0.0);
@@ -34,7 +33,6 @@ Deadline DeadlinePool::Acquire(double weight, double floor_seconds) {
 }
 
 void DeadlinePool::Release(double weight) {
-  std::lock_guard<std::mutex> lock(mu_);
   outstanding_weight_ = std::max(outstanding_weight_ - weight, 0.0);
 }
 

@@ -7,12 +7,12 @@
 //                      read per poll; the default never expires and never
 //                      reads the clock, so disabled plumbing is inert).
 //   * DeadlinePool   — a weighted pool that slices one Deadline among
-//                      concurrent claimants. Each acquires a slice of the
-//                      *remaining* time proportional to its weight among the
-//                      still-outstanding claimants, so work that finishes
-//                      early implicitly donates its unused time to whatever
-//                      is still running (replaces fixed-share apportionment
-//                      in the component decomposition).
+//                      claimants that run one after another. Each acquires
+//                      a slice of the *remaining* time proportional to its
+//                      weight among the still-outstanding claimants, so work
+//                      that finishes early implicitly donates its unused
+//                      time to the claimants after it (the decomposed
+//                      components of one solve).
 //   * AimdController — additive-increase / multiplicative-decrease control
 //                      of a scalar level in [min_level, 1], driven by a
 //                      per-cycle blown/healthy budget signal. Deterministic:
@@ -25,14 +25,13 @@
 #define TETRISCHED_COMMON_BUDGET_H_
 
 #include <chrono>
-#include <mutex>
 
 namespace tetrisched {
 
 // Absolute steady-clock deadline. Immutable once made, so a solve copies
 // the one it arms into every LP and component it runs, and any number of
-// threads poll Expired() from hot loops without sharing state. The default
-// value never expires and never reads the clock.
+// hot loops poll Expired() without sharing state. The default value never
+// expires and never reads the clock.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
@@ -52,13 +51,14 @@ class Deadline {
   Clock::time_point at_ = Clock::time_point::max();
 };
 
-// Weighted pool that slices one Deadline among concurrent sub-solves.
+// Weighted pool that slices one Deadline among sub-solves run in turn.
 // Construct with the shared deadline and the aggregate weight of every
 // claimant (e.g. total variable count across components); each claimant
-// calls Acquire when it starts and Release when it finishes. Because a
-// claimant's slice is computed from the time remaining *at its start* and
-// the weight still outstanding, any time an earlier claimant left unused
-// flows to the ones after it.
+// calls Acquire when it starts and Release when it finishes, before the
+// next one starts. Because a claimant's slice is computed from the time
+// remaining *at its start* and the weight still outstanding, any time an
+// earlier claimant left unused flows to the ones after it. Not thread-safe:
+// one solve owns its pool.
 class DeadlinePool {
  public:
   DeadlinePool(Deadline end, double total_weight);
@@ -71,7 +71,6 @@ class DeadlinePool {
   void Release(double weight);
 
  private:
-  std::mutex mu_;
   const Deadline end_;
   double outstanding_weight_;
 };

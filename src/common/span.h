@@ -54,9 +54,10 @@ int32_t& CurrentDepth();
 // One-shot crash hook for fault injection (DESIGN.md §11): while armed, the
 // first ScopedSpan constructed *on the arming thread* whose name matches
 // `name` disarms the hook and invokes `fn` (which typically throws a crash
-// signal). Solver worker threads construct spans too, so the thread match is
-// load-bearing — the signal must unwind the scheduler's cycle, not a pool
-// thread. Disarmed cost: one relaxed atomic load in the ScopedSpan ctor.
+// signal). The signal must unwind the cycle that armed the hook, so a
+// scheduler running on another thread of the same process (a daemon's loop,
+// a concurrent test) never fires it. Disarmed cost: one relaxed atomic load
+// in the ScopedSpan ctor.
 void ArmSpanCrashHook(const char* name, void (*fn)());
 void DisarmSpanCrashHook();
 bool SpanCrashHookArmed();

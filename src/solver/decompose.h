@@ -5,10 +5,9 @@
 // rows: whenever jobs prefer disjoint equivalence sets or non-overlapping
 // plan-ahead slots, the compiled model is block-diagonal. Solving k
 // independent sub-MILPs is exponentially cheaper than one monolithic branch
-// and bound over their union, and the component solves run side by side on
-// a thread pool of MilpOptions::num_threads threads. Each component search
-// is single-threaded (DESIGN.md §8), so the stitched result does not depend
-// on how the pool interleaves them.
+// and bound over their union. MilpSolver::Solve searches the components in
+// index order on the calling thread, each under a weighted slice of the
+// solve's one deadline (DeadlinePool, DESIGN.md §13).
 //
 // The layer has three stages, all exact:
 //   1. DetectComponents: union-find over the variable-constraint incidence
@@ -67,13 +66,13 @@ struct Decomposition {
     return largest;
   }
 
-  // True when the model genuinely splits and SolveDecomposed applies.
+  // True when the model genuinely splits and ExtractComponents applies.
   bool Splits() const { return !bypass && num_components >= 2; }
 };
 
 // Builds the incidence-graph components of `model`. O(num_vars + nonzeros);
-// no sub-models are built (extraction happens inside SolveDecomposed only
-// when the model actually splits).
+// no sub-models are built (ExtractComponents builds them only when the model
+// actually splits).
 Decomposition DetectComponents(const MilpModel& model);
 
 // Conservative cross-component merge of the mathematical search status:

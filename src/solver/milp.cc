@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/span.h"
-#include "src/common/thread_pool.h"
 #include "src/solver/decompose.h"
 #include "src/solver/presolve.h"
 #include "src/solver/simplex.h"
@@ -559,15 +557,12 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
   return result;
 }
 
-// Searches every component under its slice of `deadline`, side by side on
-// a pool of up to `num_threads` threads (0 = one per hardware thread), and
-// stitches the results. Each component searches single-threaded and writes
-// only its own slot, so the stitched result does not depend on how the pool
-// interleaves them.
+// Searches the components in index order on the calling thread, each under
+// its slice of `deadline`, and stitches the results.
 MilpResult SearchComponents(const MilpModel& model,
                             const Decomposition& decomp,
                             std::vector<Component>& components,
-                            Deadline deadline, int num_threads) {
+                            Deadline deadline) {
   // Each component weighs its variable count. Its slice is computed when it
   // *starts*, from the time then left before the deadline and the weight
   // still outstanding, so early finishers' unused time flows to later ones.
@@ -576,36 +571,13 @@ MilpResult SearchComponents(const MilpModel& model,
     total_weight += component.vars.size();
   }
   DeadlinePool time_pool(deadline, total_weight);
-  auto search_component = [&time_pool](Component& component) {
+  for (Component& component : components) {
     ScopedSpan span("solver.component", &component.seconds);
     const double weight = component.vars.size();
     component.result = Search(component.model, component.options,
                               time_pool.Acquire(weight, kComponentFloorSeconds),
                               component.warm);
     time_pool.Release(weight);
-  };
-  const int k = static_cast<int>(components.size());
-  const int pool_threads = std::min(
-      k, num_threads > 0 ? num_threads : ThreadPool::HardwareThreads());
-  if (pool_threads <= 1) {
-    for (Component& component : components) {
-      search_component(component);
-    }
-  } else {
-    ThreadPool pool(pool_threads);
-    // Largest components first so the long poles start immediately and the
-    // small ones pack around them.
-    std::vector<int> order(k);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return components[a].vars.size() > components[b].vars.size();
-    });
-    for (int comp : order) {
-      pool.Submit([&search_component, &components, comp] {
-        search_component(components[comp]);
-      });
-    }
-    pool.Wait();
   }
   return StitchComponents(model, decomp, components);
 }
@@ -689,8 +661,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   MilpResult result =
       components.empty()
           ? Search(*model, options_, deadline, warm)
-          : SearchComponents(*model, decomp, components, deadline,
-                             options_.num_threads);
+          : SearchComponents(*model, decomp, components, deadline);
   result.decompose_ms = 1e3 * decompose_seconds;
 
   // 5. Restore through presolve.

@@ -13,7 +13,8 @@
 //
 // Search: best-bound node selection, most-fractional branching, and a diving
 // heuristic at the root (and every 64th node) to obtain an incumbent
-// quickly. The tree is explored on the calling thread, so node order, node
+// quickly. The solver starts no thread: the tree, and every decomposed
+// component in turn, is explored on the calling thread, so node order, node
 // counts and results depend on the model and the options alone, never on
 // the machine's core count (see DESIGN.md §8). The reported bound covers
 // every subtree the search did not close and never sits below the incumbent.
@@ -45,8 +46,8 @@ struct MilpOptions {
   // Wall-clock budget of the whole solve: one deadline, armed when Solve
   // starts and polled inside every LP solve (budget.h, DESIGN.md §13), so a
   // solve cut off mid-LP returns the best incumbent so far with
-  // SolveStatus::kTimeLimit, never a torn result. Decomposed components
-  // share it through a DeadlinePool.
+  // SolveStatus::kTimeLimit, never a torn result. Decomposed components,
+  // searched one after another, take weighted slices of it (DeadlinePool).
   double time_limit_seconds = 10.0;
   // Stop after this many B&B nodes without incumbent improvement and return
   // the incumbent (status kFeasible). 0 disables. The equivalent of a
@@ -58,15 +59,13 @@ struct MilpOptions {
   // disable to measure its effect.
   bool enable_presolve = true;
   // Split the (presolved) model into connected components of its
-  // variable-constraint incidence graph and solve them as independent
-  // sub-MILPs on the thread pool (see decompose.h / DESIGN.md §12). Exact;
-  // on by default. Single-component models bypass the layer and are
-  // bit-identical to a monolithic solve.
+  // variable-constraint incidence graph and search them in turn as
+  // independent sub-MILPs (see decompose.h / DESIGN.md §12). Exact; on by
+  // default. Single-component models bypass the layer and are bit-identical
+  // to a monolithic solve.
   bool enable_decomposition = true;
-  // Threads that solve decomposed components side by side; 0 means one per
-  // hardware thread. Each component, like every undecomposed model, is
-  // searched single-threaded, so the result does not depend on this value
-  // unless wall-clock limits bind.
+  // Has no effect: the solver starts no thread. Kept only because the
+  // benchmark harness (perfbench/harness) still assigns it.
   int num_threads = 0;
 };
 

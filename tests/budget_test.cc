@@ -171,7 +171,6 @@ TEST(CancelTest, DeadlineHonoredMidLpSingleThread) {
   options.abs_gap = 1e-9;
   options.stall_node_limit = 0;
   options.max_nodes = 1000000;
-  options.num_threads = 1;
   auto start = std::chrono::steady_clock::now();
   MilpResult result = MilpSolver(model, options).Solve();
   double elapsed = SecondsSince(start);
@@ -185,6 +184,7 @@ TEST(CancelTest, DeadlineHonoredMidLpSingleThread) {
   }
 }
 
+// The same mid-LP cut on a second adversarial model.
 TEST(CancelTest, DeadlineHonoredMidLpParallel) {
   MilpModel model = AdversarialModel(400, 400, 13);
   MilpOptions options;
@@ -193,7 +193,6 @@ TEST(CancelTest, DeadlineHonoredMidLpParallel) {
   options.abs_gap = 1e-9;
   options.stall_node_limit = 0;
   options.max_nodes = 1000000;
-  options.num_threads = 4;
   auto start = std::chrono::steady_clock::now();
   MilpResult result = MilpSolver(model, options).Solve();
   double elapsed = SecondsSince(start);
@@ -230,7 +229,6 @@ TEST(BlandRuleTest, ThresholdIsConfigurableAndCounted) {
 TEST(CertifyTest, AcceptsHonestIncumbent) {
   MilpModel model = AdversarialModel(30, 10, 29);
   MilpOptions options;
-  options.num_threads = 1;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   CertifyReport report = CertifyPlan(model, result, options);
@@ -240,7 +238,6 @@ TEST(CertifyTest, AcceptsHonestIncumbent) {
 TEST(CertifyTest, RejectsCorruptedIncumbent) {
   MilpModel model = AdversarialModel(30, 10, 31);
   MilpOptions options;
-  options.num_threads = 1;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   ASSERT_FALSE(result.values.empty());

@@ -264,7 +264,6 @@ TEST(OracleModeTest, EnabledOracleCommsIsByteIdenticalToDisabled) {
     SimTrace trace;
     config.trace = &trace;
     TetriSchedConfig sched_config = ExactConfig();
-    sched_config.milp.num_threads = 1;
     sched_config.milp.time_limit_seconds = 1e9;
     TetriScheduler scheduler(cluster, sched_config);
     Simulator sim(cluster, scheduler, jobs, config);
@@ -446,7 +445,6 @@ SimMetrics RunLossyChurn(uint64_t fault_seed, double drop_prob) {
   config.stragglers = schedule.stragglers;
   config.comms = schedule.comms;
   TetriSchedConfig sched_config = ExactConfig();
-  sched_config.milp.num_threads = 1;
   sched_config.milp.time_limit_seconds = 1e9;
   TetriScheduler scheduler(cluster, sched_config);
   Simulator sim(cluster, scheduler, jobs, config);

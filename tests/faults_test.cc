@@ -394,10 +394,8 @@ TEST(ChurnDeterminismTest, SameSeedSameMetrics) {
     SimConfig config;
     config.node_failures = schedule.failures;
     config.stragglers = schedule.stragglers;
-    // Wall-clock limits and multi-threaded solves are the only
-    // nondeterminism sources; pin both.
+    // Wall-clock limits are the only nondeterminism source; lift them.
     TetriSchedConfig sched_config = ExactConfig();
-    sched_config.milp.num_threads = 1;
     sched_config.milp.time_limit_seconds = 1e9;
     TetriScheduler scheduler(cluster, sched_config);
     Simulator sim(cluster, scheduler, jobs, config);

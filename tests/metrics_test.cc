@@ -364,7 +364,6 @@ TEST(SpanTest, SolverPhaseSpansMatchHistograms) {
   MilpOptions options;
   options.rel_gap = 0.0;
   options.time_limit_seconds = 30.0;
-  options.num_threads = 1;
   SetObservabilityEnabled(true);
   SpanCollector::Global().Clear();
   MilpResult result = MilpSolver(model, options).Solve();
@@ -438,7 +437,6 @@ TEST(SolverObservabilityTest, SolvePopulatesPhaseInstruments) {
   model.AddObjectiveTerm(y, 1.0);
   model.AddConstraint({{x, 1}, {y, 1}}, ConstraintSense::kLessEqual, 1.5);
   MilpOptions options;
-  options.num_threads = 1;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   EXPECT_NEAR(result.objective, 1.0, 1e-6);
@@ -467,7 +465,6 @@ std::string RunScheduleCsv(const SimConfig& base_config) {
   ApplyAdmission(cluster, jobs);
   TetriSchedConfig config = TetriSchedConfig::Full();
   config.milp.rel_gap = 0.0;
-  config.milp.num_threads = 1;
   TetriScheduler scheduler(cluster, config);
   SimTrace trace;
   SimConfig sim_config = base_config;

@@ -66,7 +66,6 @@ Job MakeJob(JobId id, int k, SimDuration runtime, SimTime deadline,
 TetriSchedConfig ExactConfig() {
   TetriSchedConfig config = TetriSchedConfig::Full();
   config.milp.rel_gap = 0.0;
-  config.milp.num_threads = 1;
   config.milp.time_limit_seconds = 1e9;
   return config;
 }
@@ -408,7 +407,6 @@ TEST(SchedulerProvenanceTest, CertifierRejectIncrementsCounter) {
   model.AddObjectiveTerm(x, 1.0);
   model.AddConstraint({{x, 1.0}}, ConstraintSense::kLessEqual, 1.0);
   MilpOptions options;
-  options.num_threads = 1;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   result.values[x] = 7.0;  // out of bounds and off the claimed objective

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -24,28 +25,31 @@
 namespace tetrisched {
 namespace {
 
-// Wall-clock limits and multi-threaded solves are the only nondeterminism
-// sources in a TetriSched run; pin both so same-seed runs are comparable.
+// Wall-clock limits are the only nondeterminism source in a TetriSched run;
+// lift them so same-seed runs are comparable.
 TetriSchedConfig PinnedConfig() {
   TetriSchedConfig config = TetriSchedConfig::Full();
   config.milp.rel_gap = 0.0;
-  config.milp.num_threads = 1;
   config.milp.time_limit_seconds = 1e9;
   return config;
 }
 
-// One simulated run of a small mixed SLO/best-effort workload with the
-// given scheduler crashes. Every run reconstructs the workload, admission
-// agenda, and policy from the same seeds, so runs differ only in the
-// crashes injected.
-SimMetrics RunOnce(const std::vector<SchedulerCrashEvent>& crashes,
-                   SimConfig config = {}) {
-  Cluster cluster = MakeUniformCluster(2, 4, 0);
+// A small mixed SLO/best-effort workload.
+WorkloadParams SmallMix() {
   WorkloadParams params;
   params.kind = WorkloadKind::kGsMix;
   params.seed = 11;
   params.num_jobs = 10;
+  return params;
+}
 
+// One simulated run of `params` with the given scheduler crashes. Every run
+// reconstructs the workload, admission agenda, and policy from the same
+// seeds, so runs differ only in the crashes injected.
+SimMetrics RunOnce(const std::vector<SchedulerCrashEvent>& crashes,
+                   SimConfig config = {},
+                   const WorkloadParams& params = SmallMix()) {
+  Cluster cluster = MakeUniformCluster(2, 4, 0);
   std::vector<Job> jobs = GenerateWorkload(cluster, params);
   RayonAdmission rayon(cluster.num_nodes());
   ApplyAdmission(cluster, jobs, &rayon);
@@ -115,6 +119,36 @@ TEST(CrashMatrixTest, BetweenCycleCrashMatchesNoCrashRun) {
        {CrashPhase::kBeforeCycle, CrashPhase::kAfterCommit}) {
     SCOPED_TRACE(ToString(phase));
     SimMetrics crashed = RunOnce({{/*at=*/10, phase}});
+    EXPECT_EQ(crashed.recoveries, 1);
+    ExpectSameOutcomes(baseline, crashed);
+  }
+}
+
+TEST(CrashMatrixTest, BetweenCycleCrashMatchesNoCrashRunLearningEstimates) {
+  // With learn_estimates, completions train the runtime estimator and
+  // recovery retrains it from the journaled completion stream. The submitted
+  // estimates are off by 100%, so the learned ones steer later plans; a
+  // crash once half the jobs have completed must leave every later decision
+  // as in a run that never crashed.
+  WorkloadParams params = SmallMix();
+  params.num_jobs = 20;
+  params.estimate_error = 1.0;
+  SimConfig config;
+  config.learn_estimates = true;
+  SimMetrics baseline = RunOnce({}, config, params);
+  std::vector<SimTime> completions;
+  for (const JobOutcome& outcome : baseline.outcomes) {
+    if (outcome.completed) {
+      completions.push_back(outcome.completion);
+    }
+  }
+  ASSERT_GE(completions.size(), 10u);
+  std::sort(completions.begin(), completions.end());
+  const SimTime crash_at = completions[completions.size() / 2];
+  for (CrashPhase phase :
+       {CrashPhase::kBeforeCycle, CrashPhase::kAfterCommit}) {
+    SCOPED_TRACE(ToString(phase));
+    SimMetrics crashed = RunOnce({{crash_at, phase}}, config, params);
     EXPECT_EQ(crashed.recoveries, 1);
     ExpectSameOutcomes(baseline, crashed);
   }

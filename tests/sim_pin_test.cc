@@ -10,9 +10,9 @@
 // (message loss, a heartbeat detector and partitions), so recalls, false
 // suspicions and epoch fencing are pinned as well.
 //
-// The solver has no wall-clock limit and one thread, so only the search
-// decides the schedule. The value column of kCycle and kRecover rows is
-// wall-clock time and is masked before hashing.
+// The solver has no wall-clock limit, so only the search decides the
+// schedule. The value column of kCycle and kRecover rows is wall-clock time
+// and is masked before hashing.
 //
 // When a change is meant to alter schedules, re-record the constants: the
 // failure message prints the new digest and summary.
@@ -102,7 +102,6 @@ PinnedRun RunPinned(bool lossy) {
     }
   }
   TetriSchedConfig sched_config = TetriSchedConfig::Full();
-  sched_config.milp.num_threads = 1;
   sched_config.milp.time_limit_seconds = 1e9;
   config.policy_factory = [&cluster, sched_config]() {
     return std::make_unique<TetriScheduler>(cluster, sched_config);

@@ -292,45 +292,5 @@ TEST(EndToEndTest, TetriSchedBeatsBaselineOnHetMix) {
             cs_metrics.TotalSloAttainment() - 1e-9);
 }
 
-// The MILP search is single-threaded and milp.num_threads only sizes the
-// pool that solves decomposed components side by side, so a same-seed run
-// must give the same schedule at any thread count (wall-clock limits are
-// lifted so only the search decides; this seed's cycle models split into
-// components on some cycles).
-TEST(EndToEndTest, ScheduleIndependentOfThreadCount) {
-  Cluster cluster = MakeUniformCluster(4, 4, 2);
-  WorkloadParams params;
-  params.kind = WorkloadKind::kGsHet;
-  params.num_jobs = 24;
-  params.seed = 23;
-
-  auto run = [&](int threads) {
-    std::vector<Job> jobs = GenerateWorkload(cluster, params);
-    ApplyAdmission(cluster, jobs);
-    TetriSchedConfig config = TetriSchedConfig::Full();
-    config.milp.num_threads = threads;
-    config.milp.time_limit_seconds = 1e9;
-    TetriScheduler scheduler(cluster, config);
-    return Simulator(cluster, scheduler, jobs).Run();
-  };
-  const SimMetrics one = run(1);
-  const SimMetrics four = run(4);
-  ASSERT_EQ(one.outcomes.size(), four.outcomes.size());
-  int started = 0;
-  for (size_t i = 0; i < one.outcomes.size(); ++i) {
-    const JobOutcome& a = one.outcomes[i];
-    const JobOutcome& b = four.outcomes[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.start_time, b.start_time) << "job " << a.id;
-    EXPECT_EQ(a.completion, b.completion) << "job " << a.id;
-    EXPECT_EQ(a.placement, b.placement) << "job " << a.id;
-    EXPECT_EQ(a.dropped, b.dropped) << "job " << a.id;
-    started += a.started ? 1 : 0;
-  }
-  EXPECT_GT(started, 0);
-  // Some cycles split into components, so the pool did run.
-  EXPECT_GT(one.milp_components.Max(), 1.0);
-}
-
 }  // namespace
 }  // namespace tetrisched

@@ -4,20 +4,24 @@
 // The contract under test: block-diagonal models split into their blocks and
 // the stitched result matches the monolithic solve (exactly at rel_gap = 0,
 // within the gap otherwise); single-component models take the bypass and are
-// bit-identical to the monolithic search; a solve gives the same result at
-// every num_threads (the pool only runs single-threaded component searches
-// side by side); presolve fixings sever couplings the raw model hides; and
-// cross-component status merging is conservative.
+// bit-identical to the monolithic search; the components are searched in
+// turn on the calling thread, and a repeated solve gives the same result;
+// presolve fixings sever couplings the raw model hides; and cross-component
+// status merging is conservative.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cluster/availability.h"
 #include "src/cluster/cluster.h"
+#include "src/common/metrics.h"
 #include "src/common/rng.h"
+#include "src/common/span.h"
 #include "src/compiler/compiler.h"
 #include "src/solver/decompose.h"
 #include "src/solver/milp.h"
@@ -112,7 +116,6 @@ TEST(SolverDecomposeTest, BlockDiagonalParityExactGap) {
     MilpOptions options;
     options.rel_gap = 0.0;
     options.time_limit_seconds = 30.0;
-    options.num_threads = 1;
 
     options.enable_decomposition = false;
     MilpResult mono = MilpSolver(model, options).Solve();
@@ -170,7 +173,6 @@ TEST(SolverDecomposeTest, SingleComponentBypassIsBitIdentical) {
   MilpOptions options;
   options.rel_gap = 0.0;
   options.time_limit_seconds = 30.0;
-  options.num_threads = 1;  // deterministic node ordering on both sides
 
   options.enable_decomposition = false;
   MilpResult mono = MilpSolver(model, options).Solve();
@@ -189,45 +191,49 @@ TEST(SolverDecomposeTest, SingleComponentBypassIsBitIdentical) {
   EXPECT_EQ(bypass.values, mono.values);
 }
 
-TEST(SolverDecomposeTest, DeterministicAcrossRunsWithThreads) {
-  // num_threads sizes only the component pool, and every search runs
-  // single-threaded: a 4-block model (split across the pool, 36 nodes) and
-  // a single-component model (which bypasses it, 184 nodes) must give the
-  // same nodes, LP iterations, bound and incumbent at every thread count.
+TEST(SolverDecomposeTest, SearchesComponentsInTurnOnCallingThread) {
+  // The solver starts no thread: with default options a 4-block model's
+  // components are searched one after another on the calling thread, and a
+  // second solve repeats the first exactly.
   MilpModel blocks;
   Rng rng(9777);
   for (int b = 0; b < 4; ++b) {
     AddRandomPackingBlock(blocks, rng, 10, 5);
   }
-  MilpModel single;
-  Rng single_rng(1);
-  AddRandomPackingBlock(single, single_rng, 20, 8);
+  const MilpOptions options;
 
-  for (const MilpModel* model : {&blocks, &single}) {
-    const int expected_components = model == &blocks ? 4 : 1;
-    MilpOptions options;
-    options.rel_gap = 0.0;
-    options.time_limit_seconds = 30.0;
-    options.num_threads = 1;
-    const MilpResult reference = MilpSolver(*model, options).Solve();
-    ASSERT_TRUE(reference.HasSolution());
-    EXPECT_EQ(reference.components, expected_components);
-    for (int threads : {1, 4, 8}) {
-      options.num_threads = threads;
-      MilpResult result = MilpSolver(*model, options).Solve();
-      ASSERT_TRUE(result.HasSolution()) << "threads=" << threads;
-      EXPECT_EQ(result.components, expected_components)
-          << "threads=" << threads;
-      EXPECT_EQ(result.nodes, reference.nodes) << "threads=" << threads;
-      EXPECT_EQ(result.lp_iterations, reference.lp_iterations)
-          << "threads=" << threads;
-      EXPECT_EQ(result.objective, reference.objective)
-          << "threads=" << threads;
-      EXPECT_EQ(result.best_bound, reference.best_bound)
-          << "threads=" << threads;
-      EXPECT_EQ(result.values, reference.values) << "threads=" << threads;
+  const bool observability = ObservabilityEnabled();
+  SetObservabilityEnabled(true);
+  SpanCollector::Global().Clear();
+  const MilpResult first = MilpSolver(blocks, options).Solve();
+  SetObservabilityEnabled(observability);
+  const std::vector<SpanRecord> spans = SpanCollector::Global().Snapshot();
+  SpanCollector::Global().Clear();
+
+  ASSERT_TRUE(first.HasSolution());
+  EXPECT_EQ(first.components, 4);
+  const uint32_t caller = span_internal::CurrentThreadId();
+  int component_spans = 0;
+  uint64_t previous_end_us = 0;
+  for (const SpanRecord& span : spans) {
+    if (std::string_view(span.name) != "solver.component") {
+      continue;
     }
+    ++component_spans;
+    EXPECT_EQ(span.thread, caller) << "component " << component_spans;
+    EXPECT_GE(span.start_us, previous_end_us)
+        << "component " << component_spans;
+    previous_end_us = span.start_us + span.duration_us;
   }
+  EXPECT_EQ(component_spans, first.components);
+
+  const MilpResult second = MilpSolver(blocks, options).Solve();
+  EXPECT_EQ(second.components, first.components);
+  EXPECT_EQ(second.nodes, first.nodes);
+  EXPECT_EQ(second.lp_iterations, first.lp_iterations);
+  EXPECT_EQ(second.objective, first.objective);
+  EXPECT_EQ(second.best_bound, first.best_bound);
+  EXPECT_EQ(second.values, first.values);
 }
 
 TEST(SolverDecomposeTest, PresolveFixingSplitsCoupledBlocks) {
@@ -254,7 +260,6 @@ TEST(SolverDecomposeTest, PresolveFixingSplitsCoupledBlocks) {
   MilpOptions options;
   options.rel_gap = 0.0;
   options.time_limit_seconds = 30.0;
-  options.num_threads = 1;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   EXPECT_EQ(result.components, 2);
@@ -274,7 +279,6 @@ TEST(SolverDecomposeTest, InfeasibleComponentPoisonsWholeModel) {
   MilpOptions options;
   options.rel_gap = 0.0;
   options.time_limit_seconds = 30.0;
-  options.num_threads = 1;
   options.enable_presolve = false;  // keep the contradiction for the solver
 
   MilpResult result = MilpSolver(model, options).Solve();
@@ -292,7 +296,6 @@ TEST(SolverDecomposeTest, WarmStartSlicesAcrossComponents) {
   MilpOptions options;
   options.rel_gap = 0.0;
   options.time_limit_seconds = 30.0;
-  options.num_threads = 1;
 
   MilpResult cold = MilpSolver(model, options).Solve();
   ASSERT_TRUE(cold.HasSolution());

@@ -304,7 +304,7 @@ TEST(MilpSolverTest, RespectsTimeLimit) {
   }
   model.AddConstraint(std::move(row), ConstraintSense::kLessEqual, 21.0);
 
-  MilpOptions options;  // default num_threads
+  MilpOptions options;
   options.rel_gap = 0.0;
   options.abs_gap = 0.0;
   options.max_nodes = 100000000;
@@ -483,19 +483,19 @@ TEST_P(LpRandomTest, FeasibleAndBoundConsistent) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, LpRandomTest,
                          ::testing::Range(0, 40));
 
-// Search trajectories pinned at num_threads = 1, where node order is
-// deterministic. Storage and allocation work in the LP and presolve must
-// leave every pivot and node as it was, so a change to the reduced models,
-// the pivot sequence or the tree fails here even when the optimum holds.
+// Search trajectories pinned node for node (the search runs on the calling
+// thread, so node order is deterministic). Storage and allocation work in
+// the LP and presolve must leave every pivot and node as it was, so a change
+// to the reduced models, the pivot sequence or the tree fails here even when
+// the optimum holds.
 struct PinnedSolve {
   int nodes;
   long lp_iterations;
   double objective;
 };
 
-void ExpectPinned(const MilpModel& model, MilpOptions options,
+void ExpectPinned(const MilpModel& model, const MilpOptions& options,
                   const PinnedSolve& pinned, const std::string& label) {
-  options.num_threads = 1;
   MilpResult result = MilpSolver(model, options).Solve();
   EXPECT_EQ(result.nodes, pinned.nodes) << label;
   EXPECT_EQ(result.lp_iterations, pinned.lp_iterations) << label;
