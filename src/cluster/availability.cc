@@ -7,17 +7,25 @@ namespace tetrisched {
 AvailabilityGrid::AvailabilityGrid(const Cluster& cluster, TimeGrid grid)
     : grid_(grid) {
   capacity_.resize(cluster.num_partitions());
+  peak_free_.resize(cluster.num_partitions());
   for (const Partition& partition : cluster.partitions()) {
     capacity_[partition.id].assign(grid_.num_slices, partition.capacity());
+    peak_free_[partition.id] = partition.capacity();
   }
 }
 
 void AvailabilityGrid::Reduce(PartitionId partition, TimeRange range,
                               int count) {
   auto [first, last] = grid_.ClippedSliceRange(range.start, range.length());
-  for (int slice = first; slice < last; ++slice) {
-    capacity_[partition][slice] -= count;
+  if (first >= last) {
+    return;
   }
+  std::vector<int>& row = capacity_[partition];
+  for (int slice = first; slice < last; ++slice) {
+    row[slice] -= count;
+  }
+  peak_free_[partition] =
+      std::max(0, *std::max_element(row.begin(), row.end()));
 }
 
 bool AvailabilityGrid::CanFit(PartitionId partition, TimeRange range,

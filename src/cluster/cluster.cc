@@ -36,41 +36,23 @@ Cluster::Cluster(std::vector<NodeSpec> nodes) : nodes_(std::move(nodes)) {
       ++num_gpu_nodes_;
     }
   }
-}
 
-PartitionSet Cluster::AllPartitions() const {
-  PartitionSet set;
-  set.reserve(partitions_.size());
+  racks_.resize(num_racks_);
+  rack_capacity_.assign(num_racks_, 0);
   for (const Partition& partition : partitions_) {
-    set.push_back(partition.id);
-  }
-  return set;
-}
-
-PartitionSet Cluster::GpuPartitions() const {
-  PartitionSet set;
-  for (const Partition& partition : partitions_) {
+    all_.push_back(partition.id);
     if (partition.has_gpu) {
-      set.push_back(partition.id);
+      gpu_.push_back(partition.id);
     }
+    racks_[partition.rack].push_back(partition.id);
+    rack_capacity_[partition.rack] += partition.capacity();
   }
-  return set;
 }
 
 PartitionSet Cluster::TaggedPartitions(int attr_tag) const {
   PartitionSet set;
   for (const Partition& partition : partitions_) {
     if (partition.attr_tag == attr_tag) {
-      set.push_back(partition.id);
-    }
-  }
-  return set;
-}
-
-PartitionSet Cluster::RackPartitions(RackId rack) const {
-  PartitionSet set;
-  for (const Partition& partition : partitions_) {
-    if (partition.rack == rack) {
       set.push_back(partition.id);
     }
   }

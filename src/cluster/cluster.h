@@ -61,11 +61,18 @@ class Cluster {
   const std::vector<Partition>& partitions() const { return partitions_; }
   PartitionId partition_of(NodeId id) const { return node_partition_[id]; }
 
-  // Equivalence-set helpers used by the STRL generator.
-  PartitionSet AllPartitions() const;
-  PartitionSet GpuPartitions() const;
-  PartitionSet RackPartitions(RackId rack) const;
+  // Equivalence-set helpers used by the STRL generator. The whole-cluster,
+  // GPU and per-rack sets are built with the cluster and handed out by
+  // reference, so they live as long as the cluster does.
+  const PartitionSet& AllPartitions() const { return all_; }
+  const PartitionSet& GpuPartitions() const { return gpu_; }
+  const PartitionSet& RackPartitions(RackId rack) const {
+    return racks_[rack];
+  }
   PartitionSet TaggedPartitions(int attr_tag) const;
+
+  // Node count of rack `rack` (CapacityOf(RackPartitions(rack))).
+  int RackCapacity(RackId rack) const { return rack_capacity_[rack]; }
 
   // Total node count across a partition set.
   int CapacityOf(const PartitionSet& set) const;
@@ -78,6 +85,10 @@ class Cluster {
   std::vector<PartitionId> node_partition_;
   int num_racks_ = 0;
   int num_gpu_nodes_ = 0;
+  PartitionSet all_;
+  PartitionSet gpu_;
+  std::vector<PartitionSet> racks_;  // indexed by rack id
+  std::vector<int> rack_capacity_;   // indexed by rack id
 };
 
 // Convenience builder: `racks` racks of `nodes_per_rack` nodes each; the

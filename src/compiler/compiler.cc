@@ -42,48 +42,44 @@ struct GenContext {
   std::vector<std::pair<PartitionId, int>> usable;
 };
 
-// Tightest usable upper bound for a leaf's draw from one partition: the
-// minimum availability across the leaf's active slices (and never above k).
-int PartitionHeadroom(const AvailabilityGrid& availability,
-                      PartitionId partition, SimTime start, SimDuration dur,
-                      int k) {
-  auto [first, last] = availability.grid().ClippedSliceRange(start, dur);
-  int headroom = k;
-  for (int slice = first; slice < last && headroom > 0; ++slice) {
-    headroom =
-        std::min(headroom, std::max(0, availability.avail(partition, slice)));
-  }
-  return headroom;
-}
-
-// The cull predicate, shared by GenLeaf and StrlCompiler::AnyLeafFits: calls
-// `on_usable(partition, headroom)` for each partition of `leaf` that can
-// contribute at least one node over its clipped window, and returns whether
-// their summed headroom satisfies the leaf (k nodes for nCk, one for LnCk).
-// A leaf for which it returns false is culled.
+// The cull predicate, shared by GenLeaf and LeafFits: calls
+// `on_usable(partition, headroom)` for each partition that can contribute at
+// least one node to the leaf nCk/LnCk(partitions, k) over [start, start +
+// duration) clipped to the grid, and returns whether their summed headroom
+// satisfies it (k nodes for nCk, one for LnCk). A partition's headroom is
+// the minimum availability across the clipped window (never above k), so an
+// empty window leaves every partition at k. A leaf for which it returns
+// false is culled.
 template <typename OnUsable>
-bool LeafFits(const AvailabilityGrid& availability, const StrlExpr& leaf,
-              OnUsable&& on_usable) {
+bool CullTest(const AvailabilityGrid& availability,
+              const PartitionSet& partitions, int k, SimTime start,
+              SimDuration duration, bool linear, OnUsable&& on_usable) {
+  const int need = linear ? 1 : k;
+  auto [first, last] = availability.grid().ClippedSliceRange(start, duration);
+  if (first < last && k > 0) {
+    // No slice holds more than PeakFree nodes of a partition, so when even
+    // those cannot add up to the demand no window has to be scanned.
+    int bound = 0;
+    for (PartitionId partition : partitions) {
+      bound += std::min(k, availability.PeakFree(partition));
+    }
+    if (bound < need) {
+      return false;
+    }
+  }
   int total_headroom = 0;
-  for (PartitionId partition : leaf.partitions) {
-    int headroom = PartitionHeadroom(availability, partition, leaf.start,
-                                     leaf.duration, leaf.k);
+  for (PartitionId partition : partitions) {
+    int headroom = k;
+    for (int slice = first; slice < last && headroom > 0; ++slice) {
+      headroom = std::min(headroom,
+                          std::max(0, availability.avail(partition, slice)));
+    }
     if (headroom > 0) {
       on_usable(partition, headroom);
       total_headroom += headroom;
     }
   }
-  return total_headroom > 0 &&
-         total_headroom >= (leaf.kind == StrlKind::kLnCk ? 1 : leaf.k);
-}
-
-bool AnyFits(const AvailabilityGrid& availability, const StrlExpr& expr) {
-  if (expr.IsLeaf()) {
-    return LeafFits(availability, expr, [](PartitionId, int) {});
-  }
-  return std::any_of(
-      expr.children.begin(), expr.children.end(),
-      [&](const StrlExpr& child) { return AnyFits(availability, child); });
+  return total_headroom > 0 && total_headroom >= need;
 }
 
 void TrackUsage(GenContext& ctx, PartitionId partition, SimTime start,
@@ -123,7 +119,8 @@ std::vector<LinTerm> GenLeaf(GenContext& ctx, const StrlExpr& expr, VarId I) {
   // Keep only partitions that can contribute at least one node.
   std::vector<std::pair<PartitionId, int>>& usable = ctx.usable;
   usable.clear();
-  const bool fits = LeafFits(ctx.availability, expr,
+  const bool fits = CullTest(ctx.availability, expr.partitions, expr.k,
+                             expr.start, expr.duration, info.linear,
                              [&](PartitionId partition, int headroom) {
                                usable.emplace_back(partition, headroom);
                              });
@@ -264,12 +261,15 @@ std::vector<LinTerm> Gen(GenContext& ctx, const StrlExpr& expr, VarId I) {
 
 }  // namespace
 
+bool LeafFits(const AvailabilityGrid& availability,
+              const PartitionSet& partitions, int k, SimTime start,
+              SimDuration duration, bool linear) {
+  return CullTest(availability, partitions, k, start, duration, linear,
+                  [](PartitionId, int) {});
+}
+
 StrlCompiler::StrlCompiler(const AvailabilityGrid& availability)
     : availability_(availability) {}
-
-bool StrlCompiler::AnyLeafFits(const StrlExpr& root) const {
-  return AnyFits(availability_, root);
-}
 
 CompiledStrl StrlCompiler::Compile(const StrlExpr& root) {
   CompiledStrl out;

@@ -141,6 +141,16 @@ class CompiledStrl {
   VarId root_indicator_ = -1;
 };
 
+// Compile's cull test for one leaf, nCk(partitions, k, start, duration) or
+// LnCk when `linear`: true when the partitions can together supply it over
+// its window clipped to the grid (k nodes for nCk, one for LnCk). Compile
+// pins the indicator of every leaf that fails it to 0
+// (CompiledStrl::LeafCulledAtCompile); StrlGenerator::Probe applies it to
+// options it has not built.
+bool LeafFits(const AvailabilityGrid& availability,
+              const PartitionSet& partitions, int k, SimTime start,
+              SimDuration duration, bool linear = false);
+
 class StrlCompiler {
  public:
   // `availability` provides both the time grid and per-(partition, slice)
@@ -148,11 +158,6 @@ class StrlCompiler {
   explicit StrlCompiler(const AvailabilityGrid& availability);
 
   CompiledStrl Compile(const StrlExpr& root);
-
-  // True when some leaf of `root` passes Compile's cull test, checked
-  // without building the model and stopping at the first leaf that fits. On
-  // any expression with a leaf it equals !Compile(root).AllLeavesCulled().
-  bool AnyLeafFits(const StrlExpr& root) const;
 
  private:
   const AvailabilityGrid& availability_;

@@ -852,12 +852,26 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
                    });
 
   for (const Job* job : ordered) {
+    // Probe first: only a job with an option that fits is built, compiled
+    // and solved. A non-positive time limit still compiles and solves every
+    // job with an option, because it asks MilpSolver for the no-incumbent
+    // report that drives the fallback rung. With the recorder on, a
+    // rejected job is built too, so its options are still offered.
+    ProbeResult probe;
+    bool solve;
     OptionRegistry registry;
-    std::optional<StrlExpr> expr = [&] {
+    std::optional<StrlExpr> expr;
+    {
       ScopedSpan phase("scheduler.strl_gen", &decision.stats.strl_gen_seconds);
-      return generator_.GenerateJobExpr(*job, now, &registry);
-    }();
-    if (!expr.has_value()) {
+      probe = generator_.Probe(*job, now, availability);
+      solve = probe == ProbeResult::kFits ||
+              (probe == ProbeResult::kNoFit &&
+               config_.milp.time_limit_seconds <= 0.0);
+      if (solve || (probe == ProbeResult::kNoFit && recorder.enabled())) {
+        expr = generator_.GenerateJobExpr(*job, now, &registry);
+      }
+    }
+    if (probe == ProbeResult::kNoOption) {
       decision.drop.push_back(job->id);
       if (recorder.enabled()) {
         RecordCulls(recorder, now, {job->id});
@@ -880,26 +894,17 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
         recorder.Record(std::move(record));
       }
     };
-    std::optional<CompiledStrl> compiled;
-    {
-      ScopedSpan phase("scheduler.compile", &decision.stats.compile_seconds);
-      StrlCompiler compiler(availability);
-      // When the compiler would cull every option, the solve could only
-      // return the empty plan: skip both. A non-positive time limit still
-      // compiles and solves, because it asks MilpSolver for the no-incumbent
-      // report that drives the fallback rung.
-      if (config_.milp.time_limit_seconds <= 0.0 ||
-          compiler.AnyLeafFits(*expr)) {
-        compiled.emplace(compiler.Compile(*expr));
-      }
-    }
-    if (!compiled.has_value()) {
+    if (!solve) {
       reject();
       continue;
     }
-    decision.stats.milp_vars += compiled->model().num_vars();
-    decision.stats.milp_constraints += compiled->model().num_constraints();
-    MilpSolver solver(compiled->model(), config_.milp);
+    const CompiledStrl compiled = [&] {
+      ScopedSpan phase("scheduler.compile", &decision.stats.compile_seconds);
+      return StrlCompiler(availability).Compile(*expr);
+    }();
+    decision.stats.milp_vars += compiled.model().num_vars();
+    decision.stats.milp_constraints += compiled.model().num_constraints();
+    MilpSolver solver(compiled.model(), config_.milp);
     MilpResult result = [&] {
       TETRI_SPAN("scheduler.solve");
       return solver.Solve();
@@ -922,7 +927,7 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
     Placement placement;
     bool starts_now = false;
     for (const StrlAllocation& alloc :
-         compiled->ExtractAllocations(result.values)) {
+         compiled.ExtractAllocations(result.values)) {
       auto option_it = registry.find(alloc.tag);
       if (option_it == registry.end()) {
         continue;

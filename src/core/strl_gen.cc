@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/compiler/compiler.h"
+
 namespace tetrisched {
 namespace {
 
@@ -15,6 +17,26 @@ constexpr int64_t kMaxSlots = int64_t{1} << 24;
 constexpr int kKindPreferred = 0;
 constexpr int kKindFallback = 1;
 constexpr int kKindRackBase = 2;  // + rack id
+
+LeafTag MakeTag(JobId job, SimTime start, SimDuration quantum,
+                int option_kind) {
+  int64_t slot = start / quantum;
+  assert(slot >= 0 && slot < kMaxSlots && option_kind < kMaxKinds);
+  return (job * kMaxSlots + slot) * kMaxKinds + option_kind;
+}
+
+// One nCk leaf of a job's option tree, as ForEachOption enumerates it.
+// `leg` marks one rack leg of an availability job's MIN.
+struct OptionLeaf {
+  const PartitionSet& partitions;
+  int k;
+  SimTime start;
+  SimDuration duration;
+  double value;
+  bool preferred;
+  int kind;
+  bool leg;
+};
 
 }  // namespace
 
@@ -45,85 +67,65 @@ ValueFunction StrlGenerator::JobValue(const Job& job) const {
   return BestEffortValue(job.submit, options_.be_decay_horizon);
 }
 
-std::vector<SimTime> StrlGenerator::CandidateStarts(SimTime now) const {
-  std::vector<SimTime> starts{now};
-  SimTime horizon = now + options_.plan_ahead;
-  for (SimTime t = QuantizeDown(now, options_.quantum) + options_.quantum;
-       t < horizon; t += options_.quantum) {
-    if (t > now) {
-      starts.push_back(t);
-    }
-  }
-  return starts;
-}
-
-LeafTag StrlGenerator::MakeTag(const Job& job, SimTime start,
-                               int option_kind) const {
-  int64_t slot = start / options_.quantum;
-  assert(slot >= 0 && slot < kMaxSlots && option_kind < kMaxKinds);
-  return (job.id * kMaxSlots + slot) * kMaxKinds + option_kind;
-}
-
-std::optional<StrlExpr> StrlGenerator::GenerateJobExpr(
-    const Job& job, SimTime now, OptionRegistry* registry) const {
+template <typename Visitor>
+void StrlGenerator::ForEachOption(const Job& job, SimTime now,
+                                  Visitor& visitor) const {
   const ValueFunction value_fn = JobValue(job);
-  const PartitionSet all = cluster_.AllPartitions();
+  const PartitionSet& all = cluster_.AllPartitions();
   const bool het = options_.heterogeneity_aware;
+  // Fast (preferred) and slow (fallback) runtimes as the scheduler
+  // estimates them.
+  const SimDuration fast = job.EstimatedRuntime(/*preferred=*/true);
+  const SimDuration slow = job.EstimatedRuntime(/*preferred=*/false);
+  const bool all_holds = cluster_.num_nodes() >= job.k;
 
-  auto record = [&](LeafTag tag, SimTime start, SimDuration dur,
-                    bool preferred, double value, int kind) {
-    if (registry != nullptr) {
-      (*registry)[tag] = JobOption{job.id, start, dur, preferred, value, kind};
-    }
-  };
-
-  std::vector<StrlExpr> start_options;
-  for (SimTime start : CandidateStarts(now)) {
-    std::vector<StrlExpr> options;
-
-    // Fast (preferred) and slow (fallback) runtimes as the scheduler
-    // estimates them.
-    SimDuration fast = job.EstimatedRuntime(/*preferred=*/true);
-    SimDuration slow = job.EstimatedRuntime(/*preferred=*/false);
+  // Candidate starts in [now, now + plan_ahead): `now` itself, then absolute
+  // quantum-aligned instants.
+  const SimTime horizon = now + options_.plan_ahead;
+  for (SimTime start = now; start < horizon;
+       start = QuantizeDown(start, options_.quantum) + options_.quantum) {
     // Completion-time shading breaks the tie between options a step value
     // function rates equally: faster placements and earlier starts win.
-    double v_fast =
+    const double v_fast =
         ShadeByCompletion(value_fn.At(start + fast), now, start + fast);
-    double v_slow =
+    const double v_slow =
         ShadeByCompletion(value_fn.At(start + slow), now, start + slow);
+    auto leaf = [&](const PartitionSet& partitions, int k, SimDuration dur,
+                    double value, bool preferred, int kind, bool leg) {
+      return visitor.Leaf(
+          OptionLeaf{partitions, k, start, dur, value, preferred, kind, leg});
+    };
 
     switch (het ? job.type : JobType::kUnconstrained) {
       case JobType::kUnconstrained: {
         // NH mode treats every job as unconstrained but must stay
-        // conservative about its runtime (paper §6.3).
-        SimDuration dur = het ? fast : slow;
-        double v = het ? v_fast : v_slow;
-        if (v > 0.0 && cluster_.CapacityOf(all) >= job.k) {
-          LeafTag tag = MakeTag(job, start, kKindPreferred);
-          options.push_back(NCk(all, job.k, start, dur, v, tag));
-          // In NH mode the scheduler plans with the conservative slow
-          // runtime, i.e. it does not believe the placement is preferred.
-          record(tag, start, dur, /*preferred=*/het, v, kKindPreferred);
+        // conservative about its runtime (paper §6.3), i.e. it does not
+        // believe the placement is preferred.
+        const double v = het ? v_fast : v_slow;
+        if (v > 0.0 && all_holds &&
+            !leaf(all, job.k, het ? fast : slow, v, /*preferred=*/het,
+                  kKindPreferred, false)) {
+          return;
         }
         break;
       }
 
       case JobType::kDataLocal:
       case JobType::kGpu: {
-        PartitionSet gpu = job.type == JobType::kDataLocal
-                               ? job.preferred_partitions
-                               : cluster_.GpuPartitions();
-        if (v_fast > 0.0 && cluster_.CapacityOf(gpu) >= job.k) {
-          LeafTag tag = MakeTag(job, start, kKindPreferred);
-          options.push_back(NCk(gpu, job.k, start, fast, v_fast, tag));
-          record(tag, start, fast, /*preferred=*/true, v_fast,
-                 kKindPreferred);
+        const bool data_local = job.type == JobType::kDataLocal;
+        const PartitionSet& preferred = data_local
+                                            ? job.preferred_partitions
+                                            : cluster_.GpuPartitions();
+        const int capacity = data_local ? cluster_.CapacityOf(preferred)
+                                        : cluster_.num_gpu_nodes();
+        if (v_fast > 0.0 && capacity >= job.k &&
+            !leaf(preferred, job.k, fast, v_fast, true, kKindPreferred,
+                  false)) {
+          return;
         }
-        if (v_slow > 0.0 && cluster_.CapacityOf(all) >= job.k) {
-          LeafTag tag = MakeTag(job, start, kKindFallback);
-          options.push_back(NCk(all, job.k, start, slow, v_slow, tag));
-          record(tag, start, slow, /*preferred=*/false, v_slow,
-                 kKindFallback);
+        if (v_slow > 0.0 && all_holds &&
+            !leaf(all, job.k, slow, v_slow, false, kKindFallback, false)) {
+          return;
         }
         break;
       }
@@ -131,66 +133,111 @@ std::optional<StrlExpr> StrlGenerator::GenerateJobExpr(
       case JobType::kMpi: {
         if (v_fast > 0.0) {
           for (RackId rack = 0; rack < cluster_.num_racks(); ++rack) {
-            PartitionSet rack_set = cluster_.RackPartitions(rack);
-            if (cluster_.CapacityOf(rack_set) < job.k) {
-              continue;
+            if (cluster_.RackCapacity(rack) >= job.k &&
+                !leaf(cluster_.RackPartitions(rack), job.k, fast, v_fast,
+                      true, kKindRackBase + rack, false)) {
+              return;
             }
-            LeafTag tag = MakeTag(job, start, kKindRackBase + rack);
-            options.push_back(
-                NCk(std::move(rack_set), job.k, start, fast, v_fast, tag));
-            record(tag, start, fast, /*preferred=*/true, v_fast,
-                   kKindRackBase + rack);
           }
         }
-        if (v_slow > 0.0 && cluster_.CapacityOf(all) >= job.k) {
-          LeafTag tag = MakeTag(job, start, kKindFallback);
-          options.push_back(NCk(all, job.k, start, slow, v_slow, tag));
-          record(tag, start, slow, /*preferred=*/false, v_slow,
-                 kKindFallback);
+        if (v_slow > 0.0 && all_holds &&
+            !leaf(all, job.k, slow, v_slow, false, kKindFallback, false)) {
+          return;
         }
         break;
       }
 
       case JobType::kAvailability: {
-        // One task on each of min(k, num_racks) racks, all required (MIN).
-        int racks = std::min(job.k, cluster_.num_racks());
-        if (v_fast > 0.0 && racks > 0) {
-          std::vector<StrlExpr> legs;
+        // One task on each of min(k, num_racks) racks, all required (MIN),
+        // so an empty rack among them leaves no option.
+        const int racks = std::min(job.k, cluster_.num_racks());
+        bool racks_hold = racks > 0;
+        for (RackId rack = 0; rack < racks; ++rack) {
+          racks_hold = racks_hold && cluster_.RackCapacity(rack) >= 1;
+        }
+        if (v_fast > 0.0 && racks_hold) {
           for (RackId rack = 0; rack < racks; ++rack) {
-            PartitionSet rack_set = cluster_.RackPartitions(rack);
-            if (cluster_.CapacityOf(rack_set) < 1) {
-              legs.clear();
-              break;
+            if (!leaf(cluster_.RackPartitions(rack), 1, fast, v_fast, true,
+                      kKindRackBase + rack, true)) {
+              return;
             }
-            LeafTag tag = MakeTag(job, start, kKindRackBase + rack);
-            legs.push_back(
-                NCk(std::move(rack_set), 1, start, fast, v_fast, tag));
-            record(tag, start, fast, /*preferred=*/true, v_fast,
-                   kKindRackBase + rack);
-          }
-          if (!legs.empty()) {
-            options.push_back(legs.size() == 1 ? std::move(legs[0])
-                                               : Min(std::move(legs)));
           }
         }
         break;
       }
     }
-
-    if (options.empty()) {
-      continue;
-    }
-    start_options.push_back(options.size() == 1 ? std::move(options[0])
-                                                : Max(std::move(options)));
+    visitor.EndStart();
   }
+}
 
-  if (start_options.empty()) {
+std::optional<StrlExpr> StrlGenerator::GenerateJobExpr(
+    const Job& job, SimTime now, OptionRegistry* registry) const {
+  // Per start: the options (an availability job's legs joined under one
+  // MIN) under a MAX; the starts under a MAX at the root.
+  struct Builder {
+    const Job& job;
+    SimDuration quantum;
+    OptionRegistry* registry;
+    std::vector<StrlExpr> legs;
+    std::vector<StrlExpr> options;
+    std::vector<StrlExpr> starts;
+
+    bool Leaf(const OptionLeaf& leaf) {
+      const LeafTag tag = MakeTag(job.id, leaf.start, quantum, leaf.kind);
+      (leaf.leg ? legs : options)
+          .push_back(NCk(leaf.partitions, leaf.k, leaf.start, leaf.duration,
+                         leaf.value, tag));
+      if (registry != nullptr) {
+        (*registry)[tag] = JobOption{job.id, leaf.start, leaf.duration,
+                                     leaf.preferred, leaf.value, leaf.kind};
+      }
+      return true;
+    }
+
+    void EndStart() {
+      if (!legs.empty()) {
+        options.push_back(legs.size() == 1 ? std::move(legs[0])
+                                           : Min(std::move(legs)));
+        legs.clear();
+      }
+      if (!options.empty()) {
+        starts.push_back(options.size() == 1 ? std::move(options[0])
+                                             : Max(std::move(options)));
+        options.clear();
+      }
+    }
+  } builder{job, options_.quantum, registry, {}, {}, {}};
+  ForEachOption(job, now, builder);
+
+  if (builder.starts.empty()) {
     return std::nullopt;
   }
-  if (start_options.size() == 1) {
-    return std::move(start_options[0]);
+  if (builder.starts.size() == 1) {
+    return std::move(builder.starts[0]);
   }
-  return Max(std::move(start_options));
+  return Max(std::move(builder.starts));
+}
+
+ProbeResult StrlGenerator::Probe(const Job& job, SimTime now,
+                                 const AvailabilityGrid& availability) const {
+  struct Prober {
+    const AvailabilityGrid& availability;
+    ProbeResult result = ProbeResult::kNoOption;
+
+    bool Leaf(const OptionLeaf& leaf) {
+      if (LeafFits(availability, leaf.partitions, leaf.k, leaf.start,
+                   leaf.duration)) {
+        result = ProbeResult::kFits;
+        return false;
+      }
+      result = ProbeResult::kNoFit;
+      return true;
+    }
+
+    void EndStart() {}
+  } prober{availability};
+  ForEachOption(job, now, prober);
+  return prober.result;
 }
 
 }  // namespace tetrisched

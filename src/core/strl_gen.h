@@ -18,6 +18,10 @@
 // are culled at generation time — the paper's expression-growth optimization.
 // A heterogeneity-blind mode (TetriSched-NH) collapses every type to the
 // whole-cluster option with the conservative slow runtime.
+//
+// Probe walks the same options without building them and applies the
+// compiler's capacity cull test (LeafFits) to each, so TetriSched-NG builds,
+// compiles and solves only jobs with an option that fits.
 
 #ifndef TETRISCHED_CORE_STRL_GEN_H_
 #define TETRISCHED_CORE_STRL_GEN_H_
@@ -26,6 +30,7 @@
 #include <optional>
 #include <string>
 
+#include "src/cluster/availability.h"
 #include "src/cluster/cluster.h"
 #include "src/core/job.h"
 #include "src/strl/strl.h"
@@ -54,6 +59,13 @@ struct JobOption {
 
 using OptionRegistry = std::map<LeafTag, JobOption>;
 
+// What StrlGenerator::Probe found for a job against an availability grid.
+enum class ProbeResult {
+  kNoOption,  // GenerateJobExpr returns nullopt: drop the job
+  kNoFit,     // every leaf fails the compiler's cull test
+  kFits,      // some leaf passes it
+};
+
 // Human-readable name for JobOption::option_kind ("preferred", "fallback",
 // "rack<r>"), used by decision provenance.
 std::string OptionKindName(int option_kind);
@@ -68,6 +80,14 @@ class StrlGenerator {
   std::optional<StrlExpr> GenerateJobExpr(const Job& job, SimTime now,
                                           OptionRegistry* registry) const;
 
+  // Walks the options GenerateJobExpr would build for `job` at `now` without
+  // building any, testing each leaf with LeafFits against `availability` and
+  // stopping at the first that fits. kNoOption exactly when GenerateJobExpr
+  // returns nullopt; kFits exactly when compiling its expression against
+  // `availability` keeps a leaf. Allocates nothing.
+  ProbeResult Probe(const Job& job, SimTime now,
+                    const AvailabilityGrid& availability) const;
+
   // Value function the generator applies for this job (exposed for tests).
   ValueFunction JobValue(const Job& job) const;
 
@@ -81,11 +101,12 @@ class StrlGenerator {
   }
 
  private:
-  // Candidate start times in [now, now + plan_ahead): `now` itself, then
-  // absolute quantum-aligned instants.
-  std::vector<SimTime> CandidateStarts(SimTime now) const;
-
-  LeafTag MakeTag(const Job& job, SimTime start, int option_kind) const;
+  // Calls visitor.Leaf(leaf) for every leaf of the job's option tree in tree
+  // order, and visitor.EndStart() after each candidate start; stops when
+  // Leaf returns false. The one per-type enumeration behind GenerateJobExpr
+  // and Probe (strl_gen.cc).
+  template <typename Visitor>
+  void ForEachOption(const Job& job, SimTime now, Visitor& visitor) const;
 
   const Cluster& cluster_;
   StrlGenOptions options_;

@@ -190,6 +190,15 @@ void ClusterRuntime::Journal(const DurableEvent& event) {
   }
   params_.persist->Append(event);
   ApplyEvent(image_, event);
+  TrimImage();
+}
+
+void ClusterRuntime::TrimImage() {
+  // Completions only retrain the estimator on recovery; without learning
+  // nothing reads them, and each snapshot would re-encode every one.
+  if (!params_.learn_estimates) {
+    image_.completions.clear();
+  }
 }
 
 void ClusterRuntime::Trace(const TraceEvent& event) {
@@ -763,6 +772,7 @@ RecoveryResult ClusterRuntime::RecoverAfterCrash(SimTime now) {
   // The reconciled image is the new checkpoint; the journal restarts
   // empty, so a crash during recovery replays to the same state.
   image_ = std::move(st);
+  TrimImage();
   Checkpoint(now);
   return result;
 }
@@ -804,6 +814,7 @@ std::pair<int, int> ClusterRuntime::Resume(RecoveredState state) {
     ++running;
   }
   image_ = std::move(state);
+  TrimImage();
   return {pending, running};
 }
 

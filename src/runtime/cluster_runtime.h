@@ -238,6 +238,8 @@ class ClusterRuntime {
   // policy's state, and writes it as the first checkpoint.
   void CheckpointInitial(const SchedulerPolicy& policy);
   void Checkpoint(SimTime now);
+  // What replaying the journal rebuilds, less the completions unless
+  // estimates are learned.
   const RecoveredState& image() const { return image_; }
 
   // The scheduler process died but the cluster did not: rebuild Rayon, SLO
@@ -259,6 +261,8 @@ class ClusterRuntime {
  private:
   void SetState(int i, JobState state);
   void RestoreSchedulerState(const RecoveredState& state);
+  // Drops the image's completions when estimates are not learned.
+  void TrimImage();
   // Starts job i on run's nodes at run.start, `slow` times its true
   // runtime; returns that runtime.
   SimDuration Start(int i, RunningJob run, double slow, SimTime now);

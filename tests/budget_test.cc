@@ -161,10 +161,13 @@ TEST(CancelTest, ExpiredTokenAbandonsLpImmediately) {
   EXPECT_TRUE(result.values.empty());
 }
 
-TEST(CancelTest, DeadlineHonoredMidLpSingleThread) {
-  // The root LP of this model takes far longer than the 50 ms limit, so the
-  // solve can only return on time if the deadline fires *inside* the LP.
-  MilpModel model = AdversarialModel(400, 400, 11);
+// The root LP of each adversarial model takes far longer than the 50 ms
+// limit, so the solve can only return on time if the deadline fires *inside*
+// the LP. Parameterised over the model seed.
+class CancelMidLpTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CancelMidLpTest, DeadlineHonoredOnAdversarialModel) {
+  MilpModel model = AdversarialModel(400, 400, GetParam());
   MilpOptions options;
   options.time_limit_seconds = 0.05;
   options.rel_gap = 0.0;
@@ -184,25 +187,9 @@ TEST(CancelTest, DeadlineHonoredMidLpSingleThread) {
   }
 }
 
-// The same mid-LP cut on a second adversarial model.
-TEST(CancelTest, DeadlineHonoredMidLpParallel) {
-  MilpModel model = AdversarialModel(400, 400, 13);
-  MilpOptions options;
-  options.time_limit_seconds = 0.05;
-  options.rel_gap = 0.0;
-  options.abs_gap = 1e-9;
-  options.stall_node_limit = 0;
-  options.max_nodes = 1000000;
-  auto start = std::chrono::steady_clock::now();
-  MilpResult result = MilpSolver(model, options).Solve();
-  double elapsed = SecondsSince(start);
-  EXPECT_LE(elapsed, 2 * options.time_limit_seconds + kWallClockSlop);
-  EXPECT_NE(result.status, MilpStatus::kOptimal);
-  if (result.HasSolution()) {
-    CertifyReport report = CertifyPlan(model, result, options);
-    EXPECT_TRUE(report.ok) << report.failure;
-  }
-}
+INSTANTIATE_TEST_SUITE_P(ModelSeeds, CancelMidLpTest,
+                         ::testing::Values(uint64_t{11}, uint64_t{13}),
+                         ::testing::PrintToStringParamName());
 
 TEST(BlandRuleTest, ThresholdIsConfigurableAndCounted) {
   // A zero threshold engages Bland's rule from the first pivot; the

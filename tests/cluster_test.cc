@@ -49,6 +49,60 @@ TEST(ClusterTest, RackPartitionsSelector) {
   }
 }
 
+// The cached whole-cluster, GPU and per-rack sets hold exactly the
+// partitions with that signature, with their capacities, and a moved-to
+// cluster hands out its own copies.
+TEST(ClusterTest, CachedSetsMatchPartitionSignatures) {
+  std::vector<NodeSpec> nodes;
+  for (int i = 0; i < 10; ++i) {
+    NodeSpec node;
+    node.rack = i % 3;
+    node.has_gpu = i % 4 == 0;
+    node.attr_tag = i % 5 == 0 ? 7 : 0;
+    nodes.push_back(node);
+  }
+  Cluster source((std::move(nodes)));
+  const Cluster cluster = std::move(source);
+  PartitionSet all;
+  PartitionSet gpu;
+  std::vector<PartitionSet> racks(cluster.num_racks());
+  for (const Partition& partition : cluster.partitions()) {
+    all.push_back(partition.id);
+    if (partition.has_gpu) {
+      gpu.push_back(partition.id);
+    }
+    racks[partition.rack].push_back(partition.id);
+  }
+  EXPECT_EQ(cluster.AllPartitions(), all);
+  EXPECT_EQ(cluster.GpuPartitions(), gpu);
+  EXPECT_EQ(cluster.CapacityOf(cluster.AllPartitions()), cluster.num_nodes());
+  EXPECT_EQ(cluster.CapacityOf(cluster.GpuPartitions()),
+            cluster.num_gpu_nodes());
+  for (RackId rack = 0; rack < cluster.num_racks(); ++rack) {
+    EXPECT_EQ(cluster.RackPartitions(rack), racks[rack]);
+    EXPECT_EQ(cluster.RackCapacity(rack),
+              cluster.CapacityOf(cluster.RackPartitions(rack)));
+  }
+}
+
+// PeakFree bounds every slice of a partition and follows each Reduce, in
+// either direction.
+TEST(AvailabilityTest, PeakFreeTracksTheFullestSlice) {
+  Cluster cluster = MakeUniformCluster(1, 4);
+  AvailabilityGrid avail(cluster, {.start = 0, .quantum = 10, .num_slices = 4});
+  EXPECT_EQ(avail.PeakFree(0), 4);
+  avail.Reduce(0, {0, 30}, 3);  // slices 0-2 at 1, slice 3 still 4
+  EXPECT_EQ(avail.PeakFree(0), 4);
+  avail.Reduce(0, {30, 40}, 2);
+  EXPECT_EQ(avail.PeakFree(0), 2);
+  avail.Reduce(0, {0, 40}, 4);  // over-committed: never below zero
+  EXPECT_EQ(avail.PeakFree(0), 0);
+  avail.Reduce(0, {100, 200}, 4);  // off the grid: no change
+  EXPECT_EQ(avail.PeakFree(0), 0);
+  avail.Reduce(0, {10, 20}, -5);  // a release raises it again
+  EXPECT_EQ(avail.PeakFree(0), 2);
+}
+
 TEST(ClusterTest, NodePartitionMapping) {
   Cluster cluster = MakeUniformCluster(2, 3, 1);
   for (NodeId node = 0; node < cluster.num_nodes(); ++node) {

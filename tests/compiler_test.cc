@@ -436,14 +436,25 @@ StrlExpr RandomForest(Rng& rng, const Cluster& cluster, const TimeGrid& grid,
   }
 }
 
-// AnyLeafFits runs the compiler's cull test without compiling, so it must
-// agree with the compiled model on every forest and every grid.
-TEST(AnyLeafFitsTest, AgreesWithCompileOnRandomForests) {
+// Appends every leaf of `expr` to `leaves`.
+void CollectLeaves(const StrlExpr& expr, std::vector<const StrlExpr*>* leaves) {
+  if (expr.IsLeaf()) {
+    leaves->push_back(&expr);
+  }
+  for (const StrlExpr& child : expr.children) {
+    CollectLeaves(child, leaves);
+  }
+}
+
+// LeafFits runs the compiler's cull test without compiling, so it must
+// agree with the compiled model on every leaf of every forest and grid.
+TEST(LeafFitsTest, AgreesWithCompileOnRandomForests) {
   Rng rng(2016);
   Cluster cluster = MakeUniformCluster(3, 3, 1);
   const TimeGrid grid{.start = 20, .quantum = 5, .num_slices = 6};
   int fits = 0;
   int culled = 0;
+  int leaves_checked = 0;
   for (int trial = 0; trial < 600; ++trial) {
     // Saturate a random share of each partition over random ranges; a few
     // grids are left empty and a few filled outright.
@@ -465,15 +476,26 @@ TEST(AnyLeafFitsTest, AgreesWithCompileOnRandomForests) {
     }
     LeafTag next_tag = 1;
     StrlExpr root = RandomForest(rng, cluster, grid, 3, &next_tag);
-    StrlCompiler compiler(avail);
-    const bool any_fits = compiler.AnyLeafFits(root);
-    EXPECT_EQ(any_fits, !compiler.Compile(root).AllLeavesCulled())
-        << "trial " << trial << ": " << ToString(root);
+    CompiledStrl compiled = StrlCompiler(avail).Compile(root);
+    std::vector<const StrlExpr*> leaves;
+    CollectLeaves(root, &leaves);
+    bool any_fits = false;
+    for (const StrlExpr* leaf : leaves) {
+      const bool leaf_fits =
+          LeafFits(avail, leaf->partitions, leaf->k, leaf->start,
+                   leaf->duration, leaf->kind == StrlKind::kLnCk);
+      EXPECT_EQ(leaf_fits, !compiled.LeafCulledAtCompile(leaf->tag))
+          << "trial " << trial << ", leaf " << ToString(*leaf);
+      any_fits = any_fits || leaf_fits;
+      ++leaves_checked;
+    }
+    EXPECT_EQ(any_fits, !compiled.AllLeavesCulled()) << "trial " << trial;
     ++(any_fits ? fits : culled);
   }
   // Both outcomes must be well represented for the sweep to mean anything.
   EXPECT_GE(fits, 100);
   EXPECT_GE(culled, 100);
+  EXPECT_GE(leaves_checked, 1200);
 }
 
 // Property sweep: random forests of jobs must produce solver objectives that

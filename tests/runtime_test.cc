@@ -327,6 +327,44 @@ TEST(RuntimeTest, CheckpointAndReplayResumeQueuedPendingAndRunningJobs) {
   EXPECT_EQ(restarted.ledger().total_free(), 8);
 }
 
+// Completions in the snapshot only retrain the runtime estimator after a
+// restart, so a runtime that learns no estimates checkpoints none; one that
+// learns keeps each, in completion order.
+TEST(RuntimeTest, SnapshotKeepsCompletionsOnlyWhenLearningEstimates) {
+  Cluster cluster = MakeUniformCluster(1, 4);
+  for (bool learn : {false, true}) {
+    SCOPED_TRACE(learn ? "learning" : "not learning");
+    JournalStorage* storage = nullptr;
+    std::unique_ptr<PersistenceManager> persist = MemoryJournal(&storage);
+    ClusterRuntime runtime(cluster,
+                           {.persist = persist.get(), .learn_estimates = learn});
+    NullPolicy policy;
+    LaunchHook hook;
+    SchedulerPolicy::Decision decision;
+    for (JobId id : {1, 2, 3}) {
+      runtime.Arrive(
+          runtime.AddJob(MakeJob(id, JobType::kUnconstrained, 1, 4 * id)), 0);
+      decision.start_now.push_back(Place(id, 0, 1, 4 * id));
+    }
+    runtime.Commit(0, decision, policy, hook);
+    runtime.CompleteUntil(12);
+    ASSERT_EQ(runtime.count(JobState::kCompleted), 3);
+    runtime.Checkpoint(12);
+
+    RecoveryResult result = persist->Recover();
+    ASSERT_TRUE(result.snapshot_loaded);
+    if (learn) {
+      EXPECT_EQ(result.state.completions,
+                (std::vector<CompletionRecord>{
+                    {1, true, 4}, {2, true, 8}, {3, true, 12}}));
+    } else {
+      EXPECT_TRUE(result.state.completions.empty());
+      EXPECT_TRUE(runtime.image().completions.empty());
+    }
+    EXPECT_TRUE(result.state.running.empty());
+  }
+}
+
 // The daemon's intake (Admit) and the simulator's ApplyAdmission reserve
 // the same interval for the same job: one request, preferred estimate.
 TEST(RuntimeTest, IntakeAdmissionReservesWhatApplyAdmissionReserves) {

@@ -1,12 +1,15 @@
 // Tests for the TetriSched scheduler core: cycle decisions, plan-ahead
-// deferral, global vs greedy, drops, and capacity safety.
+// deferral, global vs greedy, drops, capacity safety, and NG decisions that
+// do not depend on the provenance recorder.
 
+#include <array>
 #include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/metrics.h"
+#include "src/common/rng.h"
 #include "src/core/scheduler.h"
 #include "src/obs/provenance.h"
 
@@ -298,6 +301,91 @@ TEST_F(SchedulerTest, GreedySkipsSolveWhenEveryOptionIsCulled) {
   EXPECT_EQ(starved_decision.stats.solve_status, SolveStatus::kNoIncumbent);
   EXPECT_TRUE(starved_decision.stats.used_fallback);
   EXPECT_TRUE(starved_decision.start_now.empty());
+}
+
+// The NG cycle decides from the probe whether the recorder is on or off;
+// with it on, the probe-rejected jobs are still built, so their options are
+// offered. Both runs of the same busy cycles must decide, compile and solve
+// exactly alike.
+TEST_F(SchedulerTest, GreedyDecidesAlikeWithRecorderOnAndOff) {
+  const Cluster cluster = MakeUniformCluster(4, 4, 2);
+  constexpr std::array<JobType, 4> kTypes = {
+      JobType::kUnconstrained, JobType::kGpu, JobType::kMpi,
+      JobType::kAvailability};
+  constexpr std::array<SloClass, 3> kClasses = {
+      SloClass::kBestEffort, SloClass::kSloAccepted,
+      SloClass::kSloUnreserved};
+  ProvenanceRecorder& recorder = ProvenanceRecorder::Global();
+  int dropped = 0;
+  int started = 0;
+  int rejected = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const SimTime now = rng.UniformInt(0, 50);
+    // Running gangs hold random shares of each partition until random ends,
+    // some inside the plan-ahead window and some past it.
+    std::vector<RunningHold> holds;
+    for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
+      RunningHold hold;
+      hold.job = 1000 + p;
+      hold.counts[p] = static_cast<int>(
+          rng.UniformInt(0, cluster.partition(p).capacity()));
+      hold.expected_end = now + rng.UniformInt(1, 200);
+      holds.push_back(hold);
+    }
+    std::vector<Job> jobs;
+    for (JobId id = 1; id <= 30; ++id) {
+      jobs.push_back(MakeJob(id, kTypes[rng.UniformInt(0, 3)],
+                             static_cast<int>(rng.UniformInt(1, 6)),
+                             rng.UniformInt(5, 120),
+                             now + rng.UniformInt(-10, 300),
+                             kClasses[rng.UniformInt(0, 2)],
+                             rng.UniformInt(0, now)));
+    }
+    std::vector<const Job*> pending;
+    for (const Job& job : jobs) {
+      pending.push_back(&job);
+    }
+
+    auto run = [&](bool record) {
+      if (record) {
+        recorder.Enable();
+      }
+      TetriScheduler scheduler(cluster,
+                               FastConfig(TetriSchedConfig::NoGlobal()));
+      auto decision = scheduler.OnCycle(now, pending, holds);
+      if (record) {
+        for (const ProvenanceRecord& r : recorder.Snapshot()) {
+          rejected += r.kind == ProvKind::kRejected ? 1 : 0;
+        }
+        recorder.Disable();
+      }
+      return decision;
+    };
+    const auto probed = run(/*record=*/false);
+    const auto built = run(/*record=*/true);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    EXPECT_EQ(probed.drop, built.drop);
+    ASSERT_EQ(probed.start_now.size(), built.start_now.size());
+    for (size_t i = 0; i < probed.start_now.size(); ++i) {
+      EXPECT_EQ(probed.start_now[i].job, built.start_now[i].job);
+      EXPECT_EQ(probed.start_now[i].counts, built.start_now[i].counts);
+      EXPECT_EQ(probed.start_now[i].est_duration,
+                built.start_now[i].est_duration);
+      EXPECT_EQ(probed.start_now[i].preferred_belief,
+                built.start_now[i].preferred_belief);
+      EXPECT_EQ(probed.start_now[i].value, built.start_now[i].value);
+    }
+    EXPECT_EQ(probed.stats.milp_vars, built.stats.milp_vars);
+    EXPECT_EQ(probed.stats.milp_constraints, built.stats.milp_constraints);
+    EXPECT_EQ(probed.stats.milp_nodes, built.stats.milp_nodes);
+    dropped += static_cast<int>(probed.drop.size());
+    started += static_cast<int>(probed.start_now.size());
+  }
+  // The cycles must drop, start and reject jobs for the check to bite.
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(started, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
 // Tests for the STRL Generator: plan-ahead expansion, job-type plugins,
-// deadline culling, and NH mode.
+// deadline culling, NH mode, and the probe that walks the same options
+// without building them.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "src/cluster/availability.h"
+#include "src/common/rng.h"
+#include "src/compiler/compiler.h"
 #include "src/core/strl_gen.h"
 
 namespace tetrisched {
@@ -194,6 +201,111 @@ TEST_F(StrlGenTest, ValueDecreasesWithLaterCompletionForBestEffort) {
   for (const auto& [start, value] : value_by_start) {
     EXPECT_LT(value, prev);
     prev = value;
+  }
+}
+
+// Probe must answer what building, then compiling, the job's expression
+// would: kNoOption exactly when GenerateJobExpr returns nullopt, and kFits
+// exactly when the compiled model keeps a leaf. Random jobs of every type,
+// in both heterogeneity modes, against randomly saturated grids laid out as
+// the scheduler lays them out (so long windows run off the grid's edge).
+TEST(StrlGenProbeTest, AgreesWithGenerateAndCompile) {
+  // Three racks of three; rack 0 has GPUs, and two nodes of rack 1 plus one
+  // of rack 2 hold a dataset replica (attr tag 7).
+  std::vector<NodeSpec> nodes;
+  for (RackId rack = 0; rack < 3; ++rack) {
+    for (int i = 0; i < 3; ++i) {
+      NodeSpec node;
+      node.rack = rack;
+      node.has_gpu = rack == 0;
+      node.attr_tag = (rack == 1 && i < 2) || (rack == 2 && i == 0) ? 7 : 0;
+      nodes.push_back(node);
+    }
+  }
+  const Cluster cluster(std::move(nodes));
+  const PartitionSet replicas = cluster.TaggedPartitions(7);
+  ASSERT_EQ(cluster.CapacityOf(replicas), 3);
+  constexpr SimDuration kQuantum = 8;
+  constexpr SimDuration kPlanAhead = 48;
+  const StrlGenerator het(cluster,
+                          {.plan_ahead = kPlanAhead, .quantum = kQuantum});
+  const StrlGenerator nh(cluster, {.plan_ahead = kPlanAhead,
+                                   .quantum = kQuantum,
+                                   .heterogeneity_aware = false});
+  constexpr std::array<JobType, 5> kTypes = {
+      JobType::kUnconstrained, JobType::kGpu, JobType::kMpi,
+      JobType::kAvailability, JobType::kDataLocal};
+  constexpr std::array<SloClass, 3> kClasses = {
+      SloClass::kBestEffort, SloClass::kSloAccepted,
+      SloClass::kSloUnreserved};
+
+  Rng rng(1000);
+  std::array<int, 3> outcomes{};  // indexed by ProbeResult
+  std::array<std::array<int, 3>, 5> by_type{};
+  for (int trial = 0; trial < 900; ++trial) {
+    const SimTime now = rng.UniformInt(0, 100);
+    TimeGrid grid;
+    grid.start = QuantizeDown(now, kQuantum);
+    grid.quantum = kQuantum;
+    grid.num_slices = static_cast<int>(
+        QuantaCovering(now + kPlanAhead - grid.start, kQuantum));
+    AvailabilityGrid avail(cluster, grid);
+    const double saturation = rng.UniformReal(0.0, 1.0);
+    for (PartitionId partition : cluster.AllPartitions()) {
+      const int capacity = cluster.partition(partition).capacity();
+      const int holds = static_cast<int>(rng.UniformInt(0, 3));
+      for (int h = 0; h < holds; ++h) {
+        const SimTime from = rng.UniformInt(grid.start, grid.horizon_end());
+        const SimTime to = rng.UniformInt(from, grid.horizon_end() + 8);
+        avail.Reduce(partition, {from, to},
+                     rng.Bernoulli(saturation) ? capacity
+                                               : rng.UniformInt(0, capacity));
+      }
+    }
+
+    const int type_index = trial % static_cast<int>(kTypes.size());
+    Job job;
+    job.id = trial + 1;
+    job.type = kTypes[type_index];
+    job.k = static_cast<int>(rng.UniformInt(1, 10));  // up to above 9 nodes
+    job.submit = rng.UniformInt(0, now);
+    job.actual_runtime = rng.UniformInt(1, 120);
+    job.slowdown = rng.UniformReal(1.0, 2.0);
+    job.estimate_error = rng.UniformReal(-0.3, 0.3);
+    job.slo_class = kClasses[rng.UniformInt(0, 2)];
+    // Deadlines from already passed to beyond the window: zero, some or
+    // every start meets them.
+    job.deadline = now + rng.UniformInt(-20, 200);
+    if (job.type == JobType::kDataLocal) {
+      job.preferred_partitions =
+          rng.Bernoulli(0.5) ? replicas : cluster.RackPartitions(2);
+    }
+    const StrlGenerator& generator = rng.Bernoulli(0.25) ? nh : het;
+
+    const ProbeResult probe = generator.Probe(job, now, avail);
+    OptionRegistry registry;
+    const std::optional<StrlExpr> expr =
+        generator.GenerateJobExpr(job, now, &registry);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << ", type " << type_index << ", k "
+                 << job.k << ", now " << now << ", nh "
+                 << (&generator == &nh));
+    ASSERT_EQ(probe == ProbeResult::kNoOption, !expr.has_value());
+    if (expr.has_value()) {
+      const bool fits = !StrlCompiler(avail).Compile(*expr).AllLeavesCulled();
+      EXPECT_EQ(probe == ProbeResult::kFits, fits) << ToString(*expr);
+    }
+    ++outcomes[static_cast<int>(probe)];
+    ++by_type[type_index][static_cast<int>(probe)];
+  }
+  // Every outcome must be well represented, overall and per job type, for
+  // the sweep to mean anything.
+  for (int outcome = 0; outcome < 3; ++outcome) {
+    EXPECT_GE(outcomes[outcome], 100) << "outcome " << outcome;
+    for (int type = 0; type < static_cast<int>(kTypes.size()); ++type) {
+      EXPECT_GE(by_type[type][outcome], 10)
+          << "type " << type << ", outcome " << outcome;
+    }
   }
 }
 
