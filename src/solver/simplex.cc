@@ -20,7 +20,7 @@ constexpr int kMaxIterations = 50000;
 constexpr double kFeasTol = 1e-7;   // bound / constraint feasibility
 constexpr double kCostTol = 1e-7;   // reduced-cost optimality threshold
 constexpr double kPivotTol = 1e-9;  // minimum acceptable pivot magnitude
-constexpr int kRefactorEvery = 150;  // rebuild basis inverse every N pivots
+constexpr int kRefactorEvery = 150;  // reinvert the basis every N pivots
 
 Counter* BlandActivations() {
   static Counter* counter =
@@ -140,10 +140,12 @@ void LpSolver::InstallSlackBasis() {
     basic_[c] = n_ + c;
     status_[n_ + c] = Status::kBasic;
   }
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
+  pos_.resize(m_);
   for (int i = 0; i < m_; ++i) {
-    Binv(i, i) = 1.0;
+    pos_[i] = i;
   }
+  etas_.clear();
+  eta_entries_.clear();
   pivots_since_refactor_ = 0;
 }
 
@@ -182,81 +184,46 @@ bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
       x_[v] = 0.0;
     }
   }
-  // Build the inverse of the warm basis; a singular snapshot is rejected.
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
-  std::vector<double> bmat(static_cast<size_t>(m_) * m_, 0.0);
+  // Reinvert in product form, starting from the slack basis: a basic slack
+  // keeps its own row as its position, and each basic structural column is
+  // pivoted into the free row (its slack nonbasic, no column there yet)
+  // where its FTRAN'd entry is largest; a singular snapshot is rejected.
+  // The deadline is polled every few columns: on expiry the caller falls
+  // back to the slack basis and Iterate notices on its first poll.
+  etas_.clear();
+  eta_entries_.clear();
+  pos_.resize(m_);
+  int columns = 0;
   for (int i = 0; i < m_; ++i) {
-    for (const ColEntry& e : Column(basic_[i])) {
-      bmat[static_cast<size_t>(e.row) * m_ + i] = e.coeff;
+    if (basic_[i] >= n_) {
+      pos_[i] = basic_[i] - n_;
+      continue;
     }
-    Binv(i, i) = 1.0;
-  }
-  // Gauss-Jordan with partial pivoting on the augmented [B | I]. O(m^3), so
-  // on large bases this is the one place a deadline could silently slip by a
-  // whole refactorization: poll the token per column and bail (the caller
-  // falls back to the slack basis, and Iterate notices the expiry on its
-  // first poll).
-  for (int col = 0; col < m_; ++col) {
-    if ((col & kCancelPollMask) == 0 && options_.deadline.Expired()) {
+    if ((columns++ & kCancelPollMask) == 0 && options_.deadline.Expired()) {
       return false;
     }
-    int pivot_row = col;
-    double best = std::abs(bmat[static_cast<size_t>(col) * m_ + col]);
-    for (int r = col + 1; r < m_; ++r) {
-      double mag = std::abs(bmat[static_cast<size_t>(r) * m_ + col]);
-      if (mag > best) {
-        best = mag;
-        pivot_row = r;
-      }
-    }
-    if (best < 1e-11) {
-      return false;
-    }
-    if (pivot_row != col) {
-      for (int j = 0; j < m_; ++j) {
-        std::swap(bmat[static_cast<size_t>(col) * m_ + j],
-                  bmat[static_cast<size_t>(pivot_row) * m_ + j]);
-        std::swap(Binv(col, j), Binv(pivot_row, j));
-      }
-    }
-    double inv_pivot = 1.0 / bmat[static_cast<size_t>(col) * m_ + col];
-    for (int j = 0; j < m_; ++j) {
-      bmat[static_cast<size_t>(col) * m_ + j] *= inv_pivot;
-      Binv(col, j) *= inv_pivot;
-    }
+    FtranColumn(basic_[i]);
+    int row = -1;
+    double best = 1e-11;
     for (int r = 0; r < m_; ++r) {
-      if (r == col) {
-        continue;
-      }
-      double factor = bmat[static_cast<size_t>(r) * m_ + col];
-      if (factor == 0.0) {
-        continue;
-      }
-      for (int j = 0; j < m_; ++j) {
-        bmat[static_cast<size_t>(r) * m_ + j] -=
-            factor * bmat[static_cast<size_t>(col) * m_ + j];
-        Binv(r, j) -= factor * Binv(col, j);
+      if (!is_basic[n_ + r] && std::abs(work_[r]) > best) {
+        best = std::abs(work_[r]);
+        row = r;
       }
     }
+    if (row < 0) {
+      return false;
+    }
+    is_basic[n_ + row] = true;  // the row is taken
+    pos_[i] = row;
+    AppendEta(row);
   }
   pivots_since_refactor_ = 0;
   return true;
 }
 
-void LpSolver::RefactorizeOrReset() {
-  LpBasis snapshot = BasisSnapshot();
-  if (!InstallWarmBasis(snapshot)) {
-    // A cancelled rebuild is expected (Iterate returns kCancelled right
-    // after); only a genuinely singular basis deserves the warning.
-    if (!options_.deadline.Expired()) {
-      TETRI_LOG(kWarning) << "singular basis during refactorization; resetting";
-    }
-    InstallSlackBasis();
-  }
-}
-
 void LpSolver::RecomputeBasicValues() {
-  std::vector<double>& residual = residual_;
+  std::vector<double>& residual = work_;
   residual.assign(rhs_b_.begin(), rhs_b_.end());
   for (int v = 0; v < total_; ++v) {
     if (status_[v] == Status::kBasic || x_[v] == 0.0) {
@@ -266,13 +233,43 @@ void LpSolver::RecomputeBasicValues() {
       residual[e.row] -= e.coeff * x_[v];
     }
   }
+  Ftran(residual);
   for (int i = 0; i < m_; ++i) {
-    double sum = 0.0;
-    const double* row = &binv_[static_cast<size_t>(i) * m_];
-    for (int k = 0; k < m_; ++k) {
-      sum += row[k] * residual[k];
+    x_[basic_[i]] = residual[pos_[i]];
+  }
+}
+
+void LpSolver::Ftran(std::vector<double>& v) const {
+  for (const Eta& eta : etas_) {
+    if (v[eta.row] == 0.0) {
+      continue;
     }
-    x_[basic_[i]] = sum;
+    const double t = v[eta.row] / eta.pivot;
+    v[eta.row] = t;
+    for (int64_t k = eta.begin; k < eta.end; ++k) {
+      v[eta_entries_[k].row] -= eta_entries_[k].coeff * t;
+    }
+  }
+}
+
+void LpSolver::AppendEta(int row) {
+  const int64_t begin = static_cast<int64_t>(eta_entries_.size());
+  for (int r = 0; r < m_; ++r) {
+    if (r != row && work_[r] != 0.0) {
+      eta_entries_.push_back({r, work_[r]});
+    }
+  }
+  etas_.push_back({row, work_[row], begin,
+                   static_cast<int64_t>(eta_entries_.size())});
+}
+
+void LpSolver::Btran(std::vector<double>& v) const {
+  for (auto eta = etas_.rbegin(); eta != etas_.rend(); ++eta) {
+    double sum = v[eta->row];
+    for (int64_t k = eta->begin; k < eta->end; ++k) {
+      sum -= eta_entries_[k].coeff * v[eta_entries_[k].row];
+    }
+    v[eta->row] = sum / eta->pivot;
   }
 }
 
@@ -284,14 +281,19 @@ double LpSolver::ColumnDot(int var, std::span<const double> row_vec) const {
   return sum;
 }
 
-void LpSolver::ComputeTableauColumn(int var, std::vector<double>& out) const {
-  out.assign(m_, 0.0);
+void LpSolver::FtranColumn(int var) {
+  work_.assign(m_, 0.0);
   for (const ColEntry& e : Column(var)) {
-    const double coeff = e.coeff;
-    const size_t col = static_cast<size_t>(e.row);
-    for (int i = 0; i < m_; ++i) {
-      out[i] += binv_[static_cast<size_t>(i) * m_ + col] * coeff;
-    }
+    work_[e.row] = e.coeff;
+  }
+  Ftran(work_);
+}
+
+void LpSolver::ComputeTableauColumn(int var, std::vector<double>& out) {
+  FtranColumn(var);
+  out.resize(m_);
+  for (int i = 0; i < m_; ++i) {
+    out[i] = work_[pos_[i]];
   }
 }
 
@@ -349,18 +351,11 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
       costs = phase1_costs;
     }
 
-    // y' = c_B' B^-1 ; skip zero-cost basic rows (most of them in phase 1).
-    std::fill(y.begin(), y.end(), 0.0);
+    // y' = c_B' B^-1.
     for (int i = 0; i < m_; ++i) {
-      double cb = costs[basic_[i]];
-      if (cb == 0.0) {
-        continue;
-      }
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) {
-        y[k] += cb * row[k];
-      }
+      y[pos_[i]] = costs[basic_[i]];
     }
+    Btran(y);
 
     // Pricing: partial (rotating-section) Dantzig by default, Bland when
     // stalling. Optimality is only ever declared after a scan that covered
@@ -562,30 +557,18 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     basic_[leave_row] = enter;
     status_[enter] = Status::kBasic;
 
-    // Update the explicit inverse: one Gauss step on the pivot row.
-    double pivot = w[leave_row];
-    double* prow = &binv_[static_cast<size_t>(leave_row) * m_];
-    double inv_pivot = 1.0 / pivot;
-    for (int k = 0; k < m_; ++k) {
-      prow[k] *= inv_pivot;
-    }
-    for (int i = 0; i < m_; ++i) {
-      if (i == leave_row) {
-        continue;
-      }
-      double factor = w[i];
-      if (factor == 0.0) {
-        continue;
-      }
-      double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) {
-        row[k] -= factor * prow[k];
-      }
-    }
+    AppendEta(pos_[leave_row]);
 
     degenerate_streak = t <= kFeasTol ? degenerate_streak + 1 : 0;
     if (++pivots_since_refactor_ >= kRefactorEvery) {
-      RefactorizeOrReset();
+      // Reinvert. A cancelled reinversion is expected (the next poll returns
+      // kCancelled); only a genuinely singular basis deserves the warning.
+      if (!InstallWarmBasis(BasisSnapshot())) {
+        if (!options_.deadline.Expired()) {
+          TETRI_LOG(kWarning) << "singular basis during reinversion; resetting";
+        }
+        InstallSlackBasis();
+      }
       RecomputeBasicValues();
     }
   }

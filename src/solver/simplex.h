@@ -8,12 +8,17 @@
 // A x + I s = b with bounds on slacks encoding the row sense. The columns of
 // [A | I] live in one compressed-sparse-column block (an offsets array plus
 // one entries array, built by a counting pass), so constructing a solver
-// costs a handful of allocations however many columns the model has. The
-// solver keeps an explicit dense basis inverse, refactorized periodically,
-// and uses partial (rotating-section) Dantzig pricing — widening to a full
-// scan before declaring optimality — with a Bland's-rule fallback against
-// cycling. The pivot loop's scratch vectors (dual row, tableau column,
-// phase-1 costs) are members, reused by every Solve on the same instance.
+// costs a handful of allocations however many columns the model has.
+//
+// The basis inverse is kept in product form, B^-1 = E_k ... E_1: one sparse
+// eta vector per pivot on top of the slack basis (B = I). FTRAN applies the
+// etas in order to a column scattered from the CSC block; BTRAN applies them
+// in reverse to get the duals. A warm basis, and the basis every 150 pivots,
+// is reinverted from the slack basis pivot by pivot, and a row -> position
+// map keeps its rows in their original order. Pricing is partial
+// (rotating-section) Dantzig — widening to a full scan before declaring
+// optimality — with a Bland's-rule fallback against cycling. The pivot
+// loop's scratch vectors are members, reused by every Solve on an instance.
 //
 // Branch-and-bound passes per-variable bound overrides (branching decisions)
 // and may seed the solver with a basis snapshot from the parent node.
@@ -45,8 +50,8 @@ struct LpOptions {
   // anti-cycling rule (counted in tetrisched_solver_bland_activations_total).
   // <= 0 engages Bland's rule from the first pivot.
   int bland_pivot_limit = 256;
-  // Cooperative deadline, polled every few pivots inside Iterate and per
-  // column during warm-basis refactorization. The default never expires and
+  // Cooperative deadline, polled every few pivots inside Iterate and every
+  // few columns while a basis is reinverted. The default never expires and
   // never reads the clock.
   Deadline deadline;
 };
@@ -104,17 +109,26 @@ class LpSolver {
             static_cast<size_t>(col_start_[var + 1] - col_start_[var])};
   }
 
-  // Dense m x m basis inverse, row major.
-  double& Binv(int i, int j) { return binv_[static_cast<size_t>(i) * m_ + j]; }
+  // One product-form factor, the identity except in column `row` (a
+  // position). Stored as the pivot's FTRAN'd entering column: `pivot` at
+  // `row`, its other nonzeros in eta_entries_[begin, end).
+  struct Eta {
+    int32_t row;
+    double pivot;
+    int64_t begin, end;
+  };
 
   void InstallBounds(std::span<const double> lower,
                      std::span<const double> upper);
   void InstallSlackBasis();
   bool InstallWarmBasis(const LpBasis& warm);
-  void RefactorizeOrReset();       // rebuild binv_ from basis_, else slack basis
   void RecomputeBasicValues();     // x_B = B^-1 (b - A_N x_N)
+  void Ftran(std::vector<double>& v) const;  // v <- B^-1 v, rows -> positions
+  void Btran(std::vector<double>& v) const;  // v' <- v' B^-1, positions -> rows
+  void FtranColumn(int var);  // work_ <- B^-1 a_var, by position
+  void AppendEta(int row);    // pivot at position `row` on work_'s column
   double ColumnDot(int var, std::span<const double> row_vec) const;
-  void ComputeTableauColumn(int var, std::vector<double>& out) const;
+  void ComputeTableauColumn(int var, std::vector<double>& out);
 
   // Runs simplex iterations with objective `costs` (phase 1 or 2).
   // `phase1` enables the infeasibility-aware ratio test.
@@ -146,7 +160,9 @@ class LpSolver {
   std::vector<int32_t> basic_;    // row -> var
   std::vector<Status> status_;    // var -> status
   std::vector<double> x_;         // var -> value
-  std::vector<double> binv_;
+  std::vector<int32_t> pos_;      // row -> position in the eta file
+  std::vector<Eta> etas_;         // B^-1 = etas_[k-1] ... etas_[0]
+  std::vector<ColEntry> eta_entries_;  // row field holds a position
   int pivots_since_refactor_ = 0;
   int pricing_cursor_ = 0;  // start of the current partial-pricing section
 
@@ -155,7 +171,7 @@ class LpSolver {
   std::vector<double> y_;             // dual row c_B' B^-1
   std::vector<double> w_;             // tableau column B^-1 a_enter
   std::vector<double> phase1_costs_;  // phase-1 cost vector
-  std::vector<double> residual_;      // b - A_N x_N
+  std::vector<double> work_;          // FTRAN operand, positions on return
 };
 
 }  // namespace tetrisched

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 
 #include "src/common/budget.h"
@@ -44,10 +45,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // Dense integer packing model whose *root LP alone* far exceeds a
-// millisecond-scale deadline: every row touches every variable, so each
-// simplex pivot is O(n^2) against the dense basis inverse. Pre-deadline
-// enforcement, nothing could interrupt the solve before the first B&B node
-// boundary.
+// millisecond-scale deadline: every row touches every variable, so every
+// pivot's eta vector is dense and each FTRAN and BTRAN touches O(m) entries
+// per eta. Pre-deadline enforcement, nothing could interrupt the solve
+// before the first B&B node boundary.
 MilpModel AdversarialModel(int num_vars, int num_rows, uint64_t seed) {
   Rng rng(seed);
   MilpModel model;
@@ -162,12 +163,13 @@ TEST(CancelTest, ExpiredTokenAbandonsLpImmediately) {
 }
 
 // The root LP of each adversarial model takes far longer than the 50 ms
-// limit, so the solve can only return on time if the deadline fires *inside*
-// the LP. Parameterised over the model seed.
+// limit (about 0.6 s alone in a RelWithDebInfo build on a 4-CPU x86 host),
+// so the solve can only return on time if the deadline fires *inside* the
+// LP. Parameterised over the model seed.
 class CancelMidLpTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CancelMidLpTest, DeadlineHonoredOnAdversarialModel) {
-  MilpModel model = AdversarialModel(400, 400, GetParam());
+  MilpModel model = AdversarialModel(1000, 1000, GetParam());
   MilpOptions options;
   options.time_limit_seconds = 0.05;
   options.rel_gap = 0.0;
@@ -180,6 +182,8 @@ TEST_P(CancelMidLpTest, DeadlineHonoredOnAdversarialModel) {
   EXPECT_LE(elapsed, 2 * options.time_limit_seconds + kWallClockSlop);
   // Cut off this early the solve reports a limit, never a proven optimum.
   EXPECT_NE(result.status, MilpStatus::kOptimal);
+  // The cut fell inside the root relaxation: it never finished, so no bound.
+  EXPECT_TRUE(std::isinf(result.best_bound)) << result.best_bound;
   if (result.HasSolution()) {
     // Whatever incumbent survived the cut must still certify clean.
     CertifyReport report = CertifyPlan(model, result, options);

@@ -1,5 +1,7 @@
 // Unit and property tests for the LP simplex and MILP branch-and-bound.
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -185,6 +187,145 @@ TEST(LpSolverTest, DegenerateProblemTerminates) {
   LpResult result = LpSolver(model).Solve();
   ASSERT_EQ(result.status, LpStatus::kOptimal);
   EXPECT_NEAR(result.objective, 2.0, 1e-6);
+}
+
+// Random packing LP: `<=` rows, each mentioning a variable with probability
+// 0.2, over variables in [0, inf). No variable has an upper bound, so the
+// simplex never flips a bound: every iteration but the last is a pivot.
+MilpModel SparsePackingLp(int num_vars, int num_rows, uint64_t seed) {
+  Rng rng(seed);
+  MilpModel model;
+  for (int v = 0; v < num_vars; ++v) {
+    model.AddContinuousVar(0.0, kInfinity);
+    model.AddObjectiveTerm(v, rng.UniformReal(1.0, 10.0));
+  }
+  for (int r = 0; r < num_rows; ++r) {
+    std::vector<LinTerm> terms;
+    for (int v = 0; v < num_vars; ++v) {
+      if (rng.Bernoulli(0.2)) {
+        terms.push_back({v, rng.UniformReal(0.1, 4.0)});
+      }
+    }
+    model.AddConstraint(std::move(terms), ConstraintSense::kLessEqual,
+                        rng.UniformReal(1.0, 10.0));
+  }
+  return model;
+}
+
+std::vector<double> LowerBounds(const MilpModel& model) {
+  std::vector<double> lower(model.num_vars());
+  for (int v = 0; v < model.num_vars(); ++v) {
+    lower[v] = model.lower_bound(v);
+  }
+  return lower;
+}
+
+std::vector<double> UpperBounds(const MilpModel& model) {
+  std::vector<double> upper(model.num_vars());
+  for (int v = 0; v < model.num_vars(); ++v) {
+    upper[v] = model.upper_bound(v);
+  }
+  return upper;
+}
+
+TEST(LpSolverTest, WarmOptimalBasisNeedsNoPivot) {
+  MilpModel model = SparsePackingLp(60, 40, 1);
+  std::vector<double> lower = LowerBounds(model);
+  std::vector<double> upper = UpperBounds(model);
+  LpSolver solver(model);
+  LpResult cold = solver.Solve(lower, upper);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+  ASSERT_GT(cold.iterations, 1);
+  LpBasis basis = solver.BasisSnapshot();
+
+  // The one iteration counted is the pricing pass that proves optimality.
+  LpResult warm = solver.Solve(lower, upper, &basis);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_EQ(warm.iterations, 1);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
+  ASSERT_EQ(warm.values.size(), cold.values.size());
+  for (size_t v = 0; v < cold.values.size(); ++v) {
+    EXPECT_NEAR(warm.values[v], cold.values[v], 1e-9) << "var " << v;
+  }
+}
+
+TEST(LpSolverTest, WarmBasisWithTightenedBoundReachesColdObjective) {
+  MilpModel model = SparsePackingLp(60, 40, 5);
+  std::vector<double> lower = LowerBounds(model);
+  std::vector<double> upper = UpperBounds(model);
+  LpSolver solver(model);
+  LpResult parent = solver.Solve(lower, upper);
+  ASSERT_EQ(parent.status, LpStatus::kOptimal);
+  LpBasis basis = solver.BasisSnapshot();
+
+  // Halve the upper bound of the largest positive variable: the parent
+  // basis turns primal infeasible, as after a branching decision.
+  int var = static_cast<int>(
+      std::max_element(parent.values.begin(), parent.values.end()) -
+      parent.values.begin());
+  ASSERT_GT(parent.values[var], 1e-6);
+  upper[var] = parent.values[var] / 2;
+
+  LpResult warm = solver.Solve(lower, upper, &basis);
+  LpResult cold = LpSolver(model).Solve(lower, upper);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
+  EXPECT_LT(warm.objective, parent.objective);
+  EXPECT_LE(warm.values[var], upper[var] + 1e-9);
+}
+
+TEST(LpSolverTest, SingularWarmBasisFallsBackToSlackBasis) {
+  // x1 and x2 have identical columns, so a basis holding both is singular.
+  MilpModel model;
+  VarId x1 = model.AddContinuousVar(0, 5, "x1");
+  VarId x2 = model.AddContinuousVar(0, 5, "x2");
+  VarId y = model.AddContinuousVar(0, 5, "y");
+  model.AddObjectiveTerm(x1, 1.0);
+  model.AddObjectiveTerm(x2, 2.0);
+  model.AddObjectiveTerm(y, 1.5);
+  model.AddConstraint({{x1, 1}, {x2, 1}, {y, 2}}, ConstraintSense::kLessEqual,
+                      6);
+  model.AddConstraint({{x1, 2}, {x2, 2}, {y, 1}}, ConstraintSense::kLessEqual,
+                      8);
+  LpSolver solver(model);
+  LpResult cold = solver.Solve();
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+
+  LpBasis singular = solver.BasisSnapshot();
+  singular.basic = {x1, x2};
+  LpResult warm =
+      solver.Solve(LowerBounds(model), UpperBounds(model), &singular);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
+}
+
+TEST(LpSolverTest, ReinvertedBasisKeepsTheOptimum) {
+  // 427 pivots: the basis is reinverted after pivots 150 and 300. The
+  // objective was recorded from the dense explicit-inverse solver this one
+  // replaced.
+  MilpModel model = SparsePackingLp(300, 200, 1);
+  LpResult result = LpSolver(model).Solve();
+  ASSERT_EQ(result.status, LpStatus::kOptimal);
+  EXPECT_GT(result.iterations, 301);
+  EXPECT_NEAR(result.objective, 57.26532709909069, 1e-9);
+  EXPECT_TRUE(model.IsFeasible(result.values, 1e-6));
+}
+
+TEST(LpSolverTest, ExpiredDeadlineCancelsReinversion) {
+  MilpModel model = SparsePackingLp(60, 40, 7);
+  std::vector<double> lower = LowerBounds(model);
+  std::vector<double> upper = UpperBounds(model);
+  LpSolver solver(model);
+  ASSERT_EQ(solver.Solve(lower, upper).status, LpStatus::kOptimal);
+  LpBasis basis = solver.BasisSnapshot();
+
+  LpOptions options;
+  options.deadline = Deadline(Deadline::Clock::now() - std::chrono::seconds(1));
+  LpResult result = LpSolver(model, options).Solve(lower, upper, &basis);
+  EXPECT_EQ(result.status, LpStatus::kCancelled);
+  EXPECT_TRUE(result.values.empty());
+  EXPECT_EQ(result.iterations, 0);
 }
 
 TEST(MilpSolverTest, Knapsack) {
