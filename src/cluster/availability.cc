@@ -7,10 +7,8 @@ namespace tetrisched {
 AvailabilityGrid::AvailabilityGrid(const Cluster& cluster, TimeGrid grid)
     : grid_(grid) {
   capacity_.resize(cluster.num_partitions());
-  peak_free_.resize(cluster.num_partitions());
   for (const Partition& partition : cluster.partitions()) {
     capacity_[partition.id].assign(grid_.num_slices, partition.capacity());
-    peak_free_[partition.id] = partition.capacity();
   }
 }
 
@@ -24,8 +22,6 @@ void AvailabilityGrid::Reduce(PartitionId partition, TimeRange range,
   for (int slice = first; slice < last; ++slice) {
     row[slice] -= count;
   }
-  peak_free_[partition] =
-      std::max(0, *std::max_element(row.begin(), row.end()));
 }
 
 bool AvailabilityGrid::CanFit(PartitionId partition, TimeRange range,

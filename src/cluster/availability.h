@@ -64,10 +64,6 @@ class AvailabilityGrid {
     return capacity_[partition][slice];
   }
 
-  // Most nodes of `partition` free in any one slice (never negative): no
-  // window of the grid can draw more from it. Kept current by Reduce.
-  int PeakFree(PartitionId partition) const { return peak_free_[partition]; }
-
   // Subtracts `count` nodes of `partition` over [range.start, range.end),
   // clipped to the grid. Availability may go negative only if the caller
   // over-commits; Reduce itself does not check.
@@ -82,7 +78,6 @@ class AvailabilityGrid {
   TimeGrid grid_;
   // capacity_[partition][slice]
   std::vector<std::vector<int>> capacity_;
-  std::vector<int> peak_free_;  // per partition
 };
 
 }  // namespace tetrisched

@@ -56,17 +56,6 @@ bool CullTest(const AvailabilityGrid& availability,
               SimDuration duration, bool linear, OnUsable&& on_usable) {
   const int need = linear ? 1 : k;
   auto [first, last] = availability.grid().ClippedSliceRange(start, duration);
-  if (first < last && k > 0) {
-    // No slice holds more than PeakFree nodes of a partition, so when even
-    // those cannot add up to the demand no window has to be scanned.
-    int bound = 0;
-    for (PartitionId partition : partitions) {
-      bound += std::min(k, availability.PeakFree(partition));
-    }
-    if (bound < need) {
-      return false;
-    }
-  }
   int total_headroom = 0;
   for (PartitionId partition : partitions) {
     int headroom = k;

@@ -155,6 +155,14 @@ int FreeOver(const AvailabilityGrid& availability, PartitionId partition,
   return std::max(0, free);
 }
 
+// The status a cycle records for one solve: a solve that returned no
+// assignment (a proven-infeasible or unbounded model included) left the
+// cycle without a plan.
+SolveStatus CycleSolveStatus(const MilpResult& result) {
+  return result.HasSolution() ? result.solve_status
+                              : SolveStatus::kNoIncumbent;
+}
+
 }  // namespace
 
 TetriSchedConfig TetriSchedConfig::Full(SimDuration plan_ahead) {
@@ -631,12 +639,12 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
   decision.stats.milp_nodes = result.nodes;
   decision.stats.milp_components = result.components;
   decision.stats.decompose_ms = result.decompose_ms;
-  decision.stats.solve_status = result.solve_status;
+  decision.stats.solve_status = CycleSolveStatus(result);
   if (recorder.enabled()) {
     ProvenanceRecord record;
     record.kind = ProvKind::kSolve;
     record.time = now;
-    record.label = ToString(result.solve_status);
+    record.label = ToString(decision.stats.solve_status);
     record.value = result.objective;
     record.detail = JsonObj()
                         .Field("vars", compiled.model().num_vars())
@@ -805,7 +813,7 @@ MilpOptions TetriScheduler::CycleMilpOptions() const {
   milp.rel_gap = effective_rel_gap_;
   // Wall-clock left in the cycle budget once earlier phases spent theirs,
   // minus the commit reserve. A cycle that already blew its budget before
-  // the solve gets a zero limit -> kNoSolution -> the greedy ladder rung,
+  // the solve gets a zero limit -> kNoIncumbent -> the greedy ladder rung,
   // which is the designed degradation rather than a torn solve.
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - cycle_start_).count();
@@ -915,7 +923,7 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
         std::max(decision.stats.milp_components, result.components);
     decision.stats.decompose_ms += result.decompose_ms;
     decision.stats.solve_status =
-        WorstStatus(decision.stats.solve_status, result.solve_status);
+        WorstStatus(decision.stats.solve_status, CycleSolveStatus(result));
     if (!result.HasSolution() || result.objective <= 0.0) {
       reject();
       continue;  // nothing schedulable for this job within the window

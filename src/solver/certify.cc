@@ -110,15 +110,15 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
                     recomputed - result.best_bound));
   }
 
-  // Gap audit: only when the solve *claims* a proven gap. kFeasible makes no
-  // gap claim, and an infinite bound (e.g. a root LP cut off mid-solve)
-  // honestly claims nothing.
-  if ((result.status == MilpStatus::kOptimal ||
-       result.status == MilpStatus::kGapLimit) &&
+  // Gap audit: only when the solve *claims* a proven gap. kTimeLimit,
+  // kStall and kNoIncumbent make no gap claim, and an infinite bound (e.g. a
+  // root LP cut off mid-solve) honestly claims nothing.
+  if ((result.solve_status == SolveStatus::kOptimal ||
+       result.solve_status == SolveStatus::kGapMet) &&
       std::isfinite(result.best_bound)) {
     const double gap = result.best_bound - recomputed;
     const double allowed =
-        result.status == MilpStatus::kOptimal
+        result.solve_status == SolveStatus::kOptimal
             ? options.abs_gap + certify.gap_slop
             : std::max(options.abs_gap,
                        options.rel_gap * std::max(std::abs(recomputed), 1e-9)) +

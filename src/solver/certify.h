@@ -40,7 +40,7 @@ struct CertifyReport {
 //   * every variable sits within its bounds, integer-likes at integers,
 //   * every constraint row holds within tolerance,
 //   * the claimed objective matches a recomputation from the values,
-//   * when the status claims a proven gap (kOptimal / kGapLimit) and the
+//   * when the status claims a proven gap (kOptimal / kGapMet) and the
 //     bound is finite, the bound actually covers the claim under
 //     `options.rel_gap` / `options.abs_gap`.
 // A result without a solution (no incumbent) fails certification; callers

@@ -32,26 +32,6 @@ void Union(std::vector<int32_t>& parent, std::vector<int32_t>& rank, int32_t a,
   }
 }
 
-// Severity rank for the mathematical status merge: the worst claim wins,
-// with global conditions (infeasible/unbounded/no-solution) on top.
-int StatusRank(MilpStatus status) {
-  switch (status) {
-    case MilpStatus::kOptimal:
-      return 0;
-    case MilpStatus::kGapLimit:
-      return 1;
-    case MilpStatus::kFeasible:
-      return 2;
-    case MilpStatus::kNoSolution:
-      return 3;
-    case MilpStatus::kUnbounded:
-      return 4;
-    case MilpStatus::kInfeasible:
-      return 5;
-  }
-  return 5;
-}
-
 }  // namespace
 
 Decomposition DetectComponents(const MilpModel& model) {
@@ -107,11 +87,14 @@ Decomposition DetectComponents(const MilpModel& model) {
   return decomp;
 }
 
-MilpStatus MergeMilpStatus(MilpStatus a, MilpStatus b) {
-  return StatusRank(a) >= StatusRank(b) ? a : b;
-}
-
 SolveStatus MergeSolveStatus(SolveStatus a, SolveStatus b) {
+  // A proof about one component holds for the whole model.
+  for (SolveStatus proof :
+       {SolveStatus::kInfeasible, SolveStatus::kUnbounded}) {
+    if (a == proof || b == proof) {
+      return proof;
+    }
+  }
   if (a == SolveStatus::kNoIncumbent && b == SolveStatus::kNoIncumbent) {
     return SolveStatus::kNoIncumbent;
   }
@@ -224,17 +207,22 @@ MilpResult StitchComponents(const MilpModel& model, const Decomposition& decomp,
         std::max(merged.max_component_ms, component.seconds * 1e3);
   }
 
-  MilpStatus status = MilpStatus::kOptimal;
-  for (const Component& component : components) {
-    status = MergeMilpStatus(status, component.result.status);
+  SolveStatus status = components[0].result.solve_status;
+  for (size_t comp = 1; comp < components.size(); ++comp) {
+    status = MergeSolveStatus(status, components[comp].result.solve_status);
   }
-  merged.status = status;
-  if (status == MilpStatus::kInfeasible || status == MilpStatus::kUnbounded ||
-      status == MilpStatus::kNoSolution) {
-    // No full-model assignment can be claimed: a component proved the model
-    // empty/unbounded, or ran out of budget with no vector at all.
-    merged.solve_status = SolveStatus::kNoIncumbent;
+  if (status == SolveStatus::kInfeasible ||
+      status == SolveStatus::kUnbounded) {
+    merged.solve_status = status;  // a proof comes with no assignment
     return merged;
+  }
+  for (const Component& component : components) {
+    if (!component.result.HasSolution()) {
+      // Out of budget with no vector at all: no full-model assignment can
+      // be claimed.
+      merged.solve_status = SolveStatus::kNoIncumbent;
+      return merged;
+    }
   }
 
   // Every component holds a feasible sub-assignment: stitch them, then fill
@@ -260,8 +248,7 @@ MilpResult StitchComponents(const MilpModel& model, const Decomposition& decomp,
       value = std::clamp(0.0, model.lower_bound(v), model.upper_bound(v));
     }
     if (std::isinf(value)) {
-      merged.status = MilpStatus::kUnbounded;
-      merged.solve_status = SolveStatus::kNoIncumbent;
+      merged.solve_status = SolveStatus::kUnbounded;
       return merged;
     }
     if (model.IsIntegerLike(v)) {
@@ -277,12 +264,7 @@ MilpResult StitchComponents(const MilpModel& model, const Decomposition& decomp,
   for (const Component& component : components) {
     merged.best_bound += component.result.best_bound;
   }
-  SolveStatus solve_status = components[0].result.solve_status;
-  for (size_t comp = 1; comp < components.size(); ++comp) {
-    solve_status =
-        MergeSolveStatus(solve_status, components[comp].result.solve_status);
-  }
-  merged.solve_status = solve_status;
+  merged.solve_status = status;
   return merged;
 }
 

@@ -75,21 +75,14 @@ struct Decomposition {
 // actually splits).
 Decomposition DetectComponents(const MilpModel& model);
 
-// Conservative cross-component merge of the mathematical search status:
-// infeasibility of any component makes the whole model infeasible and
-// dominates; unboundedness is likewise global; a component that found no
-// assignment at all (kNoSolution) poisons the stitched vector; otherwise the
-// weakest optimality claim wins (all optimal -> optimal, else all within the
-// gap -> gap limit, else feasible).
-MilpStatus MergeMilpStatus(MilpStatus a, MilpStatus b);
-
-// Conservative cross-component merge of the operational outcome. The one
-// deliberate asymmetry (DESIGN.md §12): a kNoIncumbent component degrades
-// only itself — its sub-plan is the trivial zero vector, but the other
-// components' allocations still land, so the merged plan is reported as
-// kTimeLimit (partial) rather than kNoIncumbent. Only when *every*
+// Cross-component merge of the solve status. A proof about one component
+// holds for the whole model: kInfeasible dominates, then kUnbounded. The
+// one deliberate asymmetry (DESIGN.md §12): a kNoIncumbent component
+// degrades only itself — its sub-plan is the trivial zero vector, but the
+// other components' allocations still land, so the merged plan is reported
+// as kTimeLimit (partial) rather than kNoIncumbent. Only when *every*
 // component failed does the merge stay kNoIncumbent and hand the scheduler
-// to its degradation ladder.
+// to its degradation ladder. Otherwise the weakest claim wins.
 SolveStatus MergeSolveStatus(SolveStatus a, SolveStatus b);
 
 // One extracted component: the sub-model, its variable map back into the
@@ -114,7 +107,9 @@ std::vector<Component> ExtractComponents(const MilpModel& model,
 
 // Stitches the searched components' results into one MilpResult over the
 // original variable space; free variables sit at their objective-maximizing
-// bound. Leaves solve_seconds and decompose_ms to the caller.
+// bound. Statuses merge by MergeSolveStatus; a component with no assignment
+// at all leaves the stitched result with none. Leaves solve_seconds and
+// decompose_ms to the caller.
 MilpResult StitchComponents(const MilpModel& model, const Decomposition& decomp,
                             const std::vector<Component>& components);
 

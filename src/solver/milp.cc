@@ -125,14 +125,16 @@ void ApplyNodeBounds(const Node& node, std::span<double> lower,
   }
 }
 
-// Picks the integer-like variable whose LP value is most fractional,
-// preferring binaries (choice indicators) over general integers (partition
-// counts) — indicator integrality usually drags the counts along.
-int MostFractionalVar(const MilpModel& model, std::span<const double> values) {
+// Picks the integer-like variable whose LP value is most fractional and
+// farther than `tol` from its rounding, preferring binaries (choice
+// indicators) over general integers (partition counts) — indicator
+// integrality usually drags the counts along. -1 when there is none.
+int MostFractionalVar(const MilpModel& model, std::span<const double> values,
+                      double tol = kIntTol) {
   int best_binary = -1;
-  double best_binary_score = kIntTol;
+  double best_binary_score = tol;
   int best_integer = -1;
-  double best_integer_score = kIntTol;
+  double best_integer_score = tol;
   for (int v = 0; v < model.num_vars(); ++v) {
     if (!model.IsIntegerLike(v)) {
       continue;
@@ -172,10 +174,20 @@ std::vector<double> RoundedCopy(const MilpModel& model,
 MilpResult Search(const MilpModel& model, const MilpOptions& options,
                   Deadline deadline, std::span<const double> warm_start) {
   SolverInstruments& ins = Instruments();
+  const int n = model.num_vars();
+
+  // Covers tableau construction and incumbent seeding (the work between
+  // presolve and the root relaxation); closed just before branch and bound
+  // so solver child spans tile scheduler.solve with no untracked gap.
+  std::optional<ScopedSpan> setup_span;
+  setup_span.emplace("solver.setup");
+
+  LpOptions lp_options;
+  lp_options.deadline = deadline;
+  LpSolver lp(model, lp_options);
   // Per-LP-call latency only reads the clock when observability is on; the
   // iteration counter flush happens at the call sites.
-  auto timed_lp = [&](LpSolver& lp, std::span<const double> lo,
-                      std::span<const double> hi,
+  auto timed_lp = [&](std::span<const double> lo, std::span<const double> hi,
                       const LpBasis* warm) -> LpResult {
     if (!ObservabilityEnabled()) {
       return lp.Solve(lo, hi, warm);
@@ -187,25 +199,6 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
             .count());
     return lp_result;
   };
-
-  MilpResult result;
-  const int n = model.num_vars();
-
-  // Covers tableau construction and incumbent seeding (the work between
-  // presolve and the root relaxation); closed just before the root LP so
-  // solver child spans tile scheduler.solve with no untracked gap.
-  std::optional<ScopedSpan> setup_span;
-  setup_span.emplace("solver.setup");
-
-  LpOptions lp_options;
-  lp_options.deadline = deadline;
-  LpSolver root_lp(model, lp_options);
-
-  std::vector<double> root_lower(n), root_upper(n);
-  for (int v = 0; v < n; ++v) {
-    root_lower[v] = model.lower_bound(v);
-    root_upper[v] = model.upper_bound(v);
-  }
 
   NodeQueue open;
   uint64_t next_seq = 0;
@@ -220,20 +213,12 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
   long lp_iterations = 0;
   int nodes_since_improvement = 0;
 
-  auto finalize_counts = [&]() {
-    result.nodes = nodes;
-    result.lp_iterations = lp_iterations;
-    // Flush this search's totals into the process-wide registry.
-    ins.solves->Increment();
-    ins.nodes->Increment(result.nodes);
-    ins.lp_iterations->Increment(result.lp_iterations);
-  };
-
+  // Returns whether the rounded point is feasible (improving or not).
   auto offer_incumbent = [&](std::span<const double> values,
                              bool from_search = true) {
     std::vector<double> rounded = RoundedCopy(model, values);
     if (!model.IsFeasible(rounded, 1e-5)) {
-      return;
+      return false;
     }
     double obj = model.ObjectiveValue(rounded);
     if (!have_incumbent || obj > incumbent_obj) {
@@ -246,6 +231,7 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
       have_incumbent = true;
       real_incumbent = real_incumbent || from_search;
     }
+    return true;
   };
 
   // Caller-provided warm start (e.g. last cycle's plan), checked first.
@@ -258,7 +244,7 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
   {
     std::vector<double> zero(n);
     for (int v = 0; v < n; ++v) {
-      zero[v] = std::clamp(0.0, root_lower[v], root_upper[v]);
+      zero[v] = std::clamp(0.0, model.lower_bound(v), model.upper_bound(v));
     }
     offer_incumbent(zero, /*from_search=*/false);
   }
@@ -278,7 +264,7 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
   // fractional integer to a rounding (trying the nearer side first, the
   // other side on infeasibility) until integral. Cheap and effective on
   // packing structures; used at the root and periodically during the search.
-  auto dive = [&](LpSolver& lp, const std::vector<double>& from_lower,
+  auto dive = [&](const std::vector<double>& from_lower,
                   const std::vector<double>& from_upper, LpResult start_relax,
                   const LpBasis* start_basis) {
     std::vector<double> dive_lower = from_lower;
@@ -301,7 +287,7 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
       double saved_upper = dive_upper[v];
       dive_lower[v] = near;
       dive_upper[v] = near;
-      LpResult next = timed_lp(lp, dive_lower, dive_upper, warm);
+      LpResult next = timed_lp(dive_lower, dive_upper, warm);
       lp_iterations += next.iterations;
       if (next.status == LpStatus::kCancelled) {
         return;  // deadline expired mid-dive; keep whatever incumbent exists
@@ -309,7 +295,7 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
       if (next.status != LpStatus::kOptimal && far != near) {
         dive_lower[v] = far;
         dive_upper[v] = far;
-        next = timed_lp(lp, dive_lower, dive_upper, warm);
+        next = timed_lp(dive_lower, dive_upper, warm);
         lp_iterations += next.iterations;
       }
       if (next.status != LpStatus::kOptimal) {
@@ -327,119 +313,45 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
     }
   };
 
-  setup_span.reset();
-
-  // The whole root phase (relaxation, integrality check, dive); root_lp and
-  // root_dive record as children. Closed before branch and bound; on the
-  // early-return paths the destructor closes it at function exit.
-  std::optional<ScopedSpan> root_span;
-  root_span.emplace("solver.root");
-
-  LpResult root = [&] {
-    TETRI_SPAN("solver.root_lp");
-    return timed_lp(root_lp, root_lower, root_upper, nullptr);
-  }();
-  lp_iterations += root.iterations;
-  nodes = 1;
-  if (root.status == LpStatus::kInfeasible) {
-    result.status =
-        have_incumbent ? MilpStatus::kFeasible : MilpStatus::kInfeasible;
-    if (have_incumbent) {
-      result.objective = incumbent_obj;
-      result.values = incumbent;
-      result.best_bound = incumbent_obj;
-      // The incumbent (warm start or zero plan) is all the search will get.
-      result.solve_status = real_incumbent ? SolveStatus::kOptimal
-                                           : SolveStatus::kNoIncumbent;
-    }
-    finalize_counts();
-    return result;
-  }
-  if (root.status == LpStatus::kUnbounded) {
-    result.status = MilpStatus::kUnbounded;
-    finalize_counts();
-    return result;
-  }
-  if (root.status == LpStatus::kCancelled) {
-    // Deadline expired inside the root relaxation. Return the best incumbent
-    // held so far (warm start or the zero-clamped fallback); the relaxation
-    // never finished, so no honest bound exists.
-    if (have_incumbent) {
-      result.status = MilpStatus::kFeasible;
-      result.objective = incumbent_obj;
-      result.values = incumbent;
-      result.best_bound = kInfinity;
-      result.solve_status = real_incumbent ? SolveStatus::kTimeLimit
-                                           : SolveStatus::kNoIncumbent;
-    } else {
-      result.status = MilpStatus::kNoSolution;
-      result.solve_status = SolveStatus::kNoIncumbent;
-    }
-    finalize_counts();
-    return result;
-  }
-
-  LpBasis root_basis = root_lp.BasisSnapshot();
-  // An LP stopped at the iteration limit bounds nothing (and, stopped in
-  // phase 1, holds no point to dive from): the root enters the search with
-  // an infinite bound, and its re-solve there decides.
-  const bool root_solved = root.status == LpStatus::kOptimal;
-  if (!root_solved) {
-    TETRI_LOG(kWarning) << "LP iteration limit at root; no root bound";
-  } else if (MostFractionalVar(model, root.values) < 0) {
-    offer_incumbent(root.values);
-    result.status = MilpStatus::kOptimal;
-    result.solve_status = SolveStatus::kOptimal;
-    result.objective = incumbent_obj;
-    result.values = incumbent;
-    result.best_bound = root.objective;
-    finalize_counts();
-    return result;
-  } else {
-    TETRI_SPAN("solver.root_dive");
-    dive(root_lp, root_lower, root_upper, root, &root_basis);
-  }
-
+  // The root is the first node: its bound is unknown until it solves.
   {
-    auto node = std::make_shared<Node>();
-    node->bound = root_solved ? root.objective : kInfinity;
-    node->seq = next_seq++;
-    open.push(std::move(node));
+    auto root = std::make_shared<Node>();
+    root->bound = kInfinity;
+    root->seq = next_seq++;
+    open.push(std::move(root));
   }
 
   constexpr int kDiveEvery = 64;
 
   // Largest bound of a node dropped without closing its subtree: its LP was
-  // cancelled or stopped at the iteration limit, or a dive from it met the
-  // gap. It caps the optimum just as an open node does, so every bound test
-  // below includes it.
+  // cancelled or stopped at the iteration limit, a dive from it met the gap,
+  // or its integral-looking point failed the incumbent check with nothing
+  // left to branch on. It caps the optimum just as an open node does, so
+  // every bound test below includes it.
   double lost_bound = -kInfinity;
   auto open_bound = [&] {
     return open.empty() ? lost_bound
                         : std::max(lost_bound, open.top()->bound);
   };
-  bool limits_hit = false;
-  bool stall_hit = false;  // limits_hit specifically via stall_node_limit
+  bool stall_hit = false;
   bool found_unbounded = false;
 
-  root_span.reset();
+  setup_span.reset();
 
-  // Best-bound branch and bound; `lp` carries the warm-start basis of the
-  // last node it solved.
+  // Best-bound branch and bound from the root. The root solves cold and is
+  // dived from; every later node warm-starts from the basis of the last
+  // node that solved.
   double bnb_seconds = 0.0;
   {
     ScopedSpan bnb_span("solver.branch_and_bound", &bnb_seconds);
-    LpSolver lp(model, lp_options);
-    LpBasis last_basis = root_basis;
+    LpBasis last_basis;
     std::vector<double> lower(n), upper(n);
     while (!open.empty()) {
       if (nodes >= options.max_nodes || deadline.Expired()) {
-        limits_hit = true;
         break;
       }
       if (options.stall_node_limit > 0 && have_incumbent &&
           nodes_since_improvement >= options.stall_node_limit) {
-        limits_hit = true;
         stall_hit = true;
         break;
       }
@@ -452,11 +364,22 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
         continue;  // cannot improve on the incumbent
       }
 
-      std::copy(root_lower.begin(), root_lower.end(), lower.begin());
-      std::copy(root_upper.begin(), root_upper.end(), upper.begin());
+      for (int v = 0; v < n; ++v) {
+        lower[v] = model.lower_bound(v);
+        upper[v] = model.upper_bound(v);
+      }
       ApplyNodeBounds(*node, lower, upper);
 
-      LpResult relax = timed_lp(lp, lower, upper, &last_basis);
+      // Children are pushed only after their parent solved, so every node
+      // but the root has a basis to start from.
+      const bool is_root = node->parent == nullptr;
+      LpResult relax;
+      if (is_root) {
+        TETRI_SPAN("solver.root_lp");
+        relax = timed_lp(lower, upper, nullptr);
+      } else {
+        relax = timed_lp(lower, upper, &last_basis);
+      }
       ++nodes;
       ++nodes_since_improvement;
       lp_iterations += relax.iterations;
@@ -474,7 +397,6 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
         // reported bound. A cancelled LP means the deadline passed.
         lost_bound = std::max(lost_bound, node->bound);
         if (relax.status == LpStatus::kCancelled) {
-          limits_hit = true;
           break;
         }
         TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; "
@@ -486,13 +408,27 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
       if (have_incumbent && node_bound <= incumbent_obj + options.abs_gap) {
         continue;
       }
-      const int branch_var = MostFractionalVar(model, relax.values);
+      int branch_var = MostFractionalVar(model, relax.values);
       if (branch_var < 0) {
-        offer_incumbent(relax.values);
-        continue;
+        if (offer_incumbent(relax.values)) {
+          continue;
+        }
+        // Integral within kIntTol, yet its rounding is infeasible: branch
+        // on any integer still off its rounding, else keep the bound.
+        branch_var = MostFractionalVar(model, relax.values, 0.0);
+        if (branch_var < 0) {
+          lost_bound = std::max(lost_bound, node_bound);
+          continue;
+        }
       }
-      if (nodes % kDiveEvery == 0) {
-        dive(lp, lower, upper, relax, &last_basis);
+      if (is_root || nodes % kDiveEvery == 0) {
+        {
+          std::optional<ScopedSpan> root_dive;
+          if (is_root) {
+            root_dive.emplace("solver.root_dive");
+          }
+          dive(lower, upper, relax, &last_basis);
+        }
         if (gap_satisfied(node_bound)) {
           lost_bound = std::max(lost_bound, node_bound);
           continue;
@@ -521,38 +457,42 @@ MilpResult Search(const MilpModel& model, const MilpOptions& options,
   // Result assembly (incumbent copy, status classification) until return.
   TETRI_SPAN("solver.finalize");
 
-  finalize_counts();
+  MilpResult result;
+  result.nodes = nodes;
+  result.lp_iterations = lp_iterations;
+  // Flush this search's totals into the process-wide registry.
+  ins.solves->Increment();
+  ins.nodes->Increment(nodes);
+  ins.lp_iterations->Increment(lp_iterations);
   if (found_unbounded) {
-    result.status = MilpStatus::kUnbounded;
+    result.solve_status = SolveStatus::kUnbounded;
     return result;
   }
   // The optimum is the incumbent or lies in a subtree the search did not
   // close, so the reported bound never sits below the incumbent.
   result.best_bound = open_bound();
   if (!have_incumbent) {
-    result.status =
-        limits_hit ? MilpStatus::kNoSolution : MilpStatus::kInfeasible;
+    // Infeasible only when every subtree closed; anything still open or
+    // dropped unexplored means the limits stopped the search first.
+    result.solve_status = result.best_bound == -kInfinity
+                              ? SolveStatus::kInfeasible
+                              : SolveStatus::kNoIncumbent;
     return result;
   }
   result.best_bound = std::max(result.best_bound, incumbent_obj);
   result.objective = incumbent_obj;
   result.values = incumbent;
   if (result.best_bound <= incumbent_obj + options.abs_gap) {
-    result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
   } else if (gap_satisfied(result.best_bound)) {
-    result.status = MilpStatus::kGapLimit;
     result.solve_status = SolveStatus::kGapMet;
-  } else {
-    result.status = MilpStatus::kFeasible;
+  } else if (!real_incumbent) {
     // A limits-hit search that never improved on the trivial zero plan is
     // operationally a failed solve, however "feasible" it looks.
-    if (!real_incumbent) {
-      result.solve_status = SolveStatus::kNoIncumbent;
-    } else {
-      result.solve_status =
-          stall_hit ? SolveStatus::kStall : SolveStatus::kTimeLimit;
-    }
+    result.solve_status = SolveStatus::kNoIncumbent;
+  } else {
+    result.solve_status =
+        stall_hit ? SolveStatus::kStall : SolveStatus::kTimeLimit;
   }
   return result;
 }
@@ -594,14 +534,11 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         std::chrono::duration<double>(Clock::now() - start_time).count();
     return result;
   };
-  // A non-positive budget means "no solve attempt": report no-incumbent
-  // explicitly so callers exercise their degradation path instead of
+  // A non-positive budget means "no solve attempt": the empty result reports
+  // kNoIncumbent, so callers exercise their degradation path instead of
   // misreading a trivially empty plan as a decision.
   if (options_.time_limit_seconds <= 0.0) {
-    MilpResult result;
-    result.status = MilpStatus::kNoSolution;
-    result.solve_status = SolveStatus::kNoIncumbent;
-    return finish(std::move(result));
+    return finish(MilpResult{});
   }
   SolverInstruments& ins = Instruments();
   // The solve's one deadline. Every LP below polls it, so expiry is honored
@@ -634,7 +571,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     ins.presolve_dropped_rows->Increment(presolver->num_dropped_rows());
     if (presolver->infeasible()) {
       MilpResult result;
-      result.status = MilpStatus::kInfeasible;
+      result.solve_status = SolveStatus::kInfeasible;
       return finish(std::move(result));
     }
   }
@@ -664,9 +601,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
           : SearchComponents(*model, decomp, components, deadline);
   result.decompose_ms = 1e3 * decompose_seconds;
 
-  // 5. Restore through presolve.
+  // 5. Restore through presolve. A search that found an assignment returns
+  // one entry per reduced variable, none when presolve fixed them all.
   if (model != &model_) {
-    if (result.HasSolution()) {
+    if (static_cast<int>(result.values.size()) == model->num_vars()) {
       result.values = presolver->RestoreSolution(result.values);
       result.objective = model_.ObjectiveValue(result.values);
     }

@@ -11,13 +11,16 @@
 // for the whole model), then stitch the components and restore through
 // presolve (DESIGN.md §12, §13).
 //
-// Search: best-bound node selection, most-fractional branching, and a diving
+// Search: one best-bound loop whose first node is the root (solved cold on
+// the search's one LP solver), most-fractional branching, and a diving
 // heuristic at the root (and every 64th node) to obtain an incumbent
-// quickly. The solver starts no thread: the tree, and every decomposed
-// component in turn, is explored on the calling thread, so node order, node
-// counts and results depend on the model and the options alone, never on
-// the machine's core count (see DESIGN.md §8). The reported bound covers
-// every subtree the search did not close and never sits below the incumbent.
+// quickly. Every outcome, infeasible and unbounded included, is reported by
+// one SolveStatus (solve_status.h). The solver starts no thread: the tree,
+// and every decomposed component in turn, is explored on the calling
+// thread, so node order, node counts and results depend on the model and
+// the options alone, never on the machine's core count (see DESIGN.md §8).
+// The reported bound covers every subtree the search did not close and
+// never sits below the incumbent.
 
 #ifndef TETRISCHED_SOLVER_MILP_H_
 #define TETRISCHED_SOLVER_MILP_H_
@@ -29,15 +32,6 @@
 #include "src/solver/solve_status.h"
 
 namespace tetrisched {
-
-enum class MilpStatus {
-  kOptimal,     // proven within abs gap of the true optimum
-  kGapLimit,    // feasible, proven within the requested relative gap
-  kFeasible,    // feasible, but node/time limit hit before proving the gap
-  kInfeasible,  // no feasible assignment exists
-  kUnbounded,
-  kNoSolution,  // limits hit before any incumbent was found
-};
 
 struct MilpOptions {
   double rel_gap = 0.10;         // paper: "within 10% of the optimal"
@@ -70,13 +64,12 @@ struct MilpOptions {
 };
 
 struct MilpResult {
-  MilpStatus status = MilpStatus::kNoSolution;
-  // Operational classification of how the solve ended (solve_status.h).
-  // kNoIncumbent whenever `values` holds nothing better than the trivial
-  // all-zero fallback: the caller should not treat it as a schedule.
+  // How the solve ended (solve_status.h). kNoIncumbent whenever `values`
+  // holds nothing better than the trivial all-zero fallback (or nothing at
+  // all): the caller should not treat it as a schedule.
   SolveStatus solve_status = SolveStatus::kNoIncumbent;
-  double objective = 0.0;        // incumbent objective (valid unless kNoSolution)
-  std::vector<double> values;    // incumbent assignment
+  double objective = 0.0;        // incumbent objective (valid if HasSolution)
+  std::vector<double> values;    // incumbent assignment; empty if none
   // Upper bound on the optimum: the largest bound of any subtree the search
   // did not close, and never below `objective` (+inf when the root
   // relaxation did not finish).
@@ -92,10 +85,7 @@ struct MilpResult {
   double decompose_ms = 0.0;
   double max_component_ms = 0.0;
 
-  bool HasSolution() const {
-    return status == MilpStatus::kOptimal || status == MilpStatus::kGapLimit ||
-           status == MilpStatus::kFeasible;
-  }
+  bool HasSolution() const { return !values.empty(); }
 };
 
 class MilpSolver {

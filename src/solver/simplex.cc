@@ -15,7 +15,9 @@ namespace {
 // path).
 constexpr int kCancelPollMask = 15;
 
-// Fixed numerics of the pivot loop.
+// Fixed numerics of the pivot loop. An iteration is a pivot or a bound
+// flip; the pricing pass that proves optimality (or finds no ratio) is not
+// one.
 constexpr int kMaxIterations = 50000;
 constexpr double kFeasTol = 1e-7;   // bound / constraint feasibility
 constexpr double kCostTol = 1e-7;   // reduced-cost optimality threshold
@@ -340,7 +342,6 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     if (*iterations_left <= 0) {
       return LpStatus::kIterationLimit;
     }
-    --*iterations_left;
 
     std::span<const double> costs = costs_in;
     if (phase1) {
@@ -527,6 +528,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
         status_[enter] = Status::kAtLower;
       }
       degenerate_streak = t <= kFeasTol ? degenerate_streak + 1 : 0;
+      --*iterations_left;
       continue;
     }
 
@@ -558,6 +560,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     status_[enter] = Status::kBasic;
 
     AppendEta(pos_[leave_row]);
+    --*iterations_left;
 
     degenerate_streak = t <= kFeasTol ? degenerate_streak + 1 : 0;
     if (++pivots_since_refactor_ >= kRefactorEvery) {

@@ -66,7 +66,7 @@ struct LpResult {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> values;  // structural variables only
-  int iterations = 0;
+  int iterations = 0;  // pivots and bound flips
 };
 
 class LpSolver {

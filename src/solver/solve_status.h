@@ -1,15 +1,17 @@
-// Coarse solve-outcome classification surfaced to the scheduling layer.
+// The one outcome of a MILP solve (MilpResult::solve_status).
 //
-// MilpStatus (milp.h) describes the mathematical state of the search
-// (optimal/feasible/infeasible/...); SolveStatus answers the operational
-// question the scheduler actually cares about: did the solver hand back a
-// plan worth committing, and if not, why did it stop? In particular
-// kNoIncumbent makes the former implicit "empty plan means timeout"
-// convention explicit, so the scheduler can drop to its greedy
+// It answers the question the scheduler actually cares about: did the
+// solver hand back a plan worth committing, and if not, why did it stop?
+// In particular kNoIncumbent makes the former implicit "empty plan means
+// timeout" convention explicit, so the scheduler can drop to its greedy
 // degradation path instead of silently scheduling nothing for a cycle.
+// kInfeasible and kUnbounded are proofs about the model and come with no
+// assignment; the scheduler records such a solve as kNoIncumbent, so
+// CycleStats never holds them.
 //
-// Values are ordered best-to-worst so a cycle that runs several solves
-// (the per-job greedy path) can keep the worst outcome with a max().
+// The first five values are ordered best-to-worst so a cycle that runs
+// several solves (the per-job greedy path) can keep the worst outcome with
+// a max().
 
 #ifndef TETRISCHED_SOLVER_SOLVE_STATUS_H_
 #define TETRISCHED_SOLVER_SOLVE_STATUS_H_
@@ -25,6 +27,8 @@ enum class SolveStatus {
   kStall = 3,        // real incumbent, search aborted on the stall limit
   kNoIncumbent = 4,  // budget exhausted with no usable incumbent (at most
                      // the trivial all-zero plan) — degrade, don't trust
+  kInfeasible = 5,   // proven: no feasible assignment exists
+  kUnbounded = 6,    // the relaxation (or a free variable) is unbounded
 };
 
 inline const char* ToString(SolveStatus status) {
@@ -39,6 +43,10 @@ inline const char* ToString(SolveStatus status) {
       return "stall";
     case SolveStatus::kNoIncumbent:
       return "no-incumbent";
+    case SolveStatus::kInfeasible:
+      return "infeasible";
+    case SolveStatus::kUnbounded:
+      return "unbounded";
   }
   return "?";
 }

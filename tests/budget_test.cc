@@ -181,7 +181,7 @@ TEST_P(CancelMidLpTest, DeadlineHonoredOnAdversarialModel) {
   double elapsed = SecondsSince(start);
   EXPECT_LE(elapsed, 2 * options.time_limit_seconds + kWallClockSlop);
   // Cut off this early the solve reports a limit, never a proven optimum.
-  EXPECT_NE(result.status, MilpStatus::kOptimal);
+  EXPECT_NE(result.solve_status, SolveStatus::kOptimal);
   // The cut fell inside the root relaxation: it never finished, so no bound.
   EXPECT_TRUE(std::isinf(result.best_bound)) << result.best_bound;
   if (result.HasSolution()) {
@@ -250,7 +250,7 @@ TEST(CertifyTest, RejectsCorruptedIncumbent) {
 
   // Claimed-optimal status whose bound cannot cover the incumbent.
   MilpResult bogus_gap = result;
-  bogus_gap.status = MilpStatus::kOptimal;
+  bogus_gap.solve_status = SolveStatus::kOptimal;
   bogus_gap.best_bound = result.objective - 100.0;
   EXPECT_FALSE(CertifyPlan(model, bogus_gap, options).ok);
 }

@@ -85,24 +85,6 @@ TEST(ClusterTest, CachedSetsMatchPartitionSignatures) {
   }
 }
 
-// PeakFree bounds every slice of a partition and follows each Reduce, in
-// either direction.
-TEST(AvailabilityTest, PeakFreeTracksTheFullestSlice) {
-  Cluster cluster = MakeUniformCluster(1, 4);
-  AvailabilityGrid avail(cluster, {.start = 0, .quantum = 10, .num_slices = 4});
-  EXPECT_EQ(avail.PeakFree(0), 4);
-  avail.Reduce(0, {0, 30}, 3);  // slices 0-2 at 1, slice 3 still 4
-  EXPECT_EQ(avail.PeakFree(0), 4);
-  avail.Reduce(0, {30, 40}, 2);
-  EXPECT_EQ(avail.PeakFree(0), 2);
-  avail.Reduce(0, {0, 40}, 4);  // over-committed: never below zero
-  EXPECT_EQ(avail.PeakFree(0), 0);
-  avail.Reduce(0, {100, 200}, 4);  // off the grid: no change
-  EXPECT_EQ(avail.PeakFree(0), 0);
-  avail.Reduce(0, {10, 20}, -5);  // a release raises it again
-  EXPECT_EQ(avail.PeakFree(0), 2);
-}
-
 TEST(ClusterTest, NodePartitionMapping) {
   Cluster cluster = MakeUniformCluster(2, 3, 1);
   for (NodeId node = 0; node < cluster.num_nodes(); ++node) {

@@ -325,7 +325,7 @@ TEST(SpanTest, SchedulerPhaseSpansMatchCycleStats) {
 
 // The solver keeps the same rule: a solve that presolve reduces and that
 // splits into components records one presolve and one decompose sample, one
-// branch-and-bound sample per component search that branched, and each
+// branch-and-bound sample per component search, and each
 // sample comes from the same two clock readings as its span.
 TEST(SpanTest, SolverPhaseSpansMatchHistograms) {
   ObservabilityGuard guard;

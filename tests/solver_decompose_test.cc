@@ -69,20 +69,6 @@ TEST(DecomposeDetectTest, FreeVariablesJoinNoComponent) {
   EXPECT_FALSE(decomp.Splits());  // one row-induced component: bypass
 }
 
-TEST(DecomposeMergeTest, MilpStatusWorstClaimWins) {
-  using S = MilpStatus;
-  EXPECT_EQ(MergeMilpStatus(S::kOptimal, S::kOptimal), S::kOptimal);
-  EXPECT_EQ(MergeMilpStatus(S::kOptimal, S::kGapLimit), S::kGapLimit);
-  EXPECT_EQ(MergeMilpStatus(S::kGapLimit, S::kFeasible), S::kFeasible);
-  EXPECT_EQ(MergeMilpStatus(S::kFeasible, S::kNoSolution), S::kNoSolution);
-  EXPECT_EQ(MergeMilpStatus(S::kNoSolution, S::kUnbounded), S::kUnbounded);
-  EXPECT_EQ(MergeMilpStatus(S::kOptimal, S::kInfeasible), S::kInfeasible);
-  EXPECT_EQ(MergeMilpStatus(S::kInfeasible, S::kUnbounded), S::kInfeasible);
-  // Order independence.
-  EXPECT_EQ(MergeMilpStatus(S::kGapLimit, S::kOptimal), S::kGapLimit);
-  EXPECT_EQ(MergeMilpStatus(S::kInfeasible, S::kOptimal), S::kInfeasible);
-}
-
 TEST(DecomposeMergeTest, NoIncumbentComponentDegradesOnlyItself) {
   using S = SolveStatus;
   // A failed component among successful ones -> partial plan (kTimeLimit),
@@ -98,6 +84,13 @@ TEST(DecomposeMergeTest, NoIncumbentComponentDegradesOnlyItself) {
   EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kOptimal), S::kOptimal);
   EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kGapMet), S::kGapMet);
   EXPECT_EQ(MergeSolveStatus(S::kGapMet, S::kTimeLimit), S::kTimeLimit);
+  // A proof about one component holds for the whole model and dominates,
+  // infeasibility first, in either order.
+  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kInfeasible), S::kInfeasible);
+  EXPECT_EQ(MergeSolveStatus(S::kInfeasible, S::kOptimal), S::kInfeasible);
+  EXPECT_EQ(MergeSolveStatus(S::kNoIncumbent, S::kUnbounded), S::kUnbounded);
+  EXPECT_EQ(MergeSolveStatus(S::kInfeasible, S::kUnbounded), S::kInfeasible);
+  EXPECT_EQ(MergeSolveStatus(S::kUnbounded, S::kInfeasible), S::kInfeasible);
 }
 
 TEST(SolverDecomposeTest, BlockDiagonalParityExactGap) {
@@ -126,7 +119,7 @@ TEST(SolverDecomposeTest, BlockDiagonalParityExactGap) {
     ASSERT_TRUE(split.HasSolution()) << "seed " << seed;
     EXPECT_EQ(mono.components, 1) << "seed " << seed;
     EXPECT_GE(split.components, 2) << "seed " << seed;
-    EXPECT_EQ(split.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_EQ(split.solve_status, SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(split.objective, mono.objective, 1e-5) << "seed " << seed;
     EXPECT_TRUE(model.IsFeasible(split.values)) << "seed " << seed;
     EXPECT_GE(split.decompose_ms, 0.0);
@@ -182,7 +175,6 @@ TEST(SolverDecomposeTest, SingleComponentBypassIsBitIdentical) {
   ASSERT_TRUE(mono.HasSolution());
   ASSERT_TRUE(bypass.HasSolution());
   EXPECT_EQ(bypass.components, 1);
-  EXPECT_EQ(bypass.status, mono.status);
   EXPECT_EQ(bypass.solve_status, mono.solve_status);
   EXPECT_EQ(bypass.nodes, mono.nodes);
   EXPECT_EQ(bypass.lp_iterations, mono.lp_iterations);
@@ -283,8 +275,7 @@ TEST(SolverDecomposeTest, InfeasibleComponentPoisonsWholeModel) {
 
   MilpResult result = MilpSolver(model, options).Solve();
   EXPECT_GE(result.components, 2);
-  EXPECT_EQ(result.status, MilpStatus::kInfeasible);
-  EXPECT_EQ(result.solve_status, SolveStatus::kNoIncumbent);
+  EXPECT_EQ(result.solve_status, SolveStatus::kInfeasible);
   EXPECT_FALSE(result.HasSolution());
 }
 

@@ -238,10 +238,11 @@ TEST(LpSolverTest, WarmOptimalBasisNeedsNoPivot) {
   ASSERT_GT(cold.iterations, 1);
   LpBasis basis = solver.BasisSnapshot();
 
-  // The one iteration counted is the pricing pass that proves optimality.
+  // The pricing pass that proves optimality pivots nothing and counts no
+  // iteration.
   LpResult warm = solver.Solve(lower, upper, &basis);
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_EQ(warm.iterations, 1);
+  EXPECT_EQ(warm.iterations, 0);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
   ASSERT_EQ(warm.values.size(), cold.values.size());
   for (size_t v = 0; v < cold.values.size(); ++v) {
@@ -347,7 +348,7 @@ TEST(MilpSolverTest, Knapsack) {
   options.rel_gap = 0.0;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
-  EXPECT_EQ(result.status, MilpStatus::kOptimal);
+  EXPECT_EQ(result.solve_status, SolveStatus::kOptimal);
   EXPECT_NEAR(result.objective, 20.0, 1e-6);
   EXPECT_NEAR(result.values[pick[0]], 0.0, 1e-6);
   EXPECT_NEAR(result.values[pick[1]], 1.0, 1e-6);
@@ -377,7 +378,29 @@ TEST(MilpSolverTest, InfeasibleIntegerProblem) {
   model.AddConstraint({{x, 1}}, ConstraintSense::kLessEqual, 0.6);
 
   MilpResult result = MilpSolver(model).Solve();
-  EXPECT_EQ(result.status, MilpStatus::kInfeasible);
+  EXPECT_EQ(result.solve_status, SolveStatus::kInfeasible);
+}
+
+// An LP point within the integrality tolerance whose rounding fails the
+// incumbent check must still be branched on, not closed: the root LP puts x
+// at 3.0000004, and x = 3 misses the row by 4e-4.
+TEST(MilpSolverTest, IntegralLookingPointIsBranchedOn) {
+  MilpModel model;
+  VarId x = model.AddIntegerVar(0, 10, "x");
+  VarId y = model.AddContinuousVar(0, 1e-4, "y");
+  model.AddObjectiveTerm(x, -1.0);
+  model.AddConstraint({{x, 1000.0}, {y, 1.0}}, ConstraintSense::kGreaterEqual,
+                      3000.0005);
+
+  MilpOptions options;
+  MilpResult result = MilpSolver(model, options).Solve();
+  EXPECT_EQ(result.solve_status, SolveStatus::kOptimal)
+      << ToString(result.solve_status);
+  CertifyReport report = CertifyPlan(model, result, options);
+  EXPECT_TRUE(report.ok) << report.failure;
+  ASSERT_EQ(result.values.size(), 2u);
+  EXPECT_EQ(result.values[x], 4.0);
+  EXPECT_EQ(result.objective, -4.0);
 }
 
 TEST(MilpSolverTest, WarmStartAccepted) {
@@ -456,7 +479,9 @@ TEST(MilpSolverTest, RespectsTimeLimit) {
   MilpResult result = MilpSolver(model, options).Solve();
   // The zero incumbent guarantees a solution even on timeout...
   ASSERT_TRUE(result.HasSolution());
-  EXPECT_EQ(result.status, MilpStatus::kFeasible);
+  EXPECT_TRUE(result.solve_status == SolveStatus::kTimeLimit ||
+              result.solve_status == SolveStatus::kNoIncumbent)
+      << ToString(result.solve_status);
   EXPECT_GE(result.best_bound, result.objective);
   // ...and the search must notice the deadline within one LP solve.
   EXPECT_LE(result.solve_seconds, 2.0);
@@ -576,10 +601,11 @@ TEST_P(MilpRandomTest, MatchesBruteForce) {
   options.rel_gap = 0.0;
   MilpResult result = MilpSolver(model, options).Solve();
   if (best == -kInfinity) {
-    EXPECT_EQ(result.status, MilpStatus::kInfeasible);
+    EXPECT_EQ(result.solve_status, SolveStatus::kInfeasible);
   } else {
     ASSERT_TRUE(result.HasSolution()) << "seed " << GetParam();
-    EXPECT_EQ(result.status, MilpStatus::kOptimal) << "seed " << GetParam();
+    EXPECT_EQ(result.solve_status, SolveStatus::kOptimal)
+        << "seed " << GetParam();
     EXPECT_NEAR(result.objective, best, 1e-5) << "seed " << GetParam();
     EXPECT_TRUE(model.IsFeasible(result.values));
   }
@@ -647,68 +673,68 @@ void ExpectPinned(const MilpModel& model, const MilpOptions& options,
 // solved to a zero gap with presolve on and off.
 TEST(PinnedTrajectoryTest, PresolveEquivalenceModels) {
   const PinnedSolve with_presolve[30] = {
-      {1, 6, 10.66388291367535},      // seed 0
-      {4, 18, 12.987321063146542},    // seed 1
-      {2, 4, 9.6186953718645558},     // seed 2
-      {1, 3, 7.7632126661666607},     // seed 3
-      {1, 1, 0},                      // seed 4
+      {1, 5, 10.66388291367535},      // seed 0
+      {3, 9, 12.987321063146542},     // seed 1
+      {2, 2, 9.6186953718645558},     // seed 2
+      {1, 2, 7.7632126661666607},     // seed 3
+      {1, 0, 0},                      // seed 4
       {0, 0, 0},                      // seed 5
-      {1, 5, 12.340967553656185},     // seed 6
-      {1, 5, 14.754951126817677},     // seed 7
-      {1, 8, 13.588098839466316},     // seed 8
+      {1, 4, 12.340967553656185},     // seed 6
+      {1, 4, 14.754951126817677},     // seed 7
+      {1, 7, 13.588098839466316},     // seed 8
       {0, 0, 0},                      // seed 9
-      {4, 16, 7.7032812782295563},    // seed 10
-      {4, 13, 4.4993250920656749},    // seed 11
-      {6, 18, -0.11844202750921218},  // seed 12
-      {1, 2, 0},                      // seed 13
-      {8, 28, 0.55933102635924303},   // seed 14
-      {1, 2, 1.8338097071211108},     // seed 15
-      {1, 1, 0},                      // seed 16
-      {1, 4, 19.600027266855559},     // seed 17
+      {3, 8, 7.7032812782295563},     // seed 10
+      {3, 6, 4.4993250920656749},     // seed 11
+      {5, 6, -0.11844202750921218},   // seed 12
+      {1, 1, 0},                      // seed 13
+      {7, 10, 0.55933102635924303},   // seed 14
+      {1, 1, 1.8338097071211108},     // seed 15
+      {1, 0, 0},                      // seed 16
+      {1, 3, 19.600027266855559},     // seed 17
       {0, 0, 0},                      // seed 18
-      {1, 2, 4.8693398484274679},     // seed 19
-      {6, 21, -3.2070730681151987},   // seed 20
-      {6, 26, 8.301263774849879},     // seed 21
-      {1, 4, 9.9041758816640986},     // seed 22
-      {1, 4, 9.9753620538269878},     // seed 23
-      {1, 5, 9.4420976739058169},     // seed 24
+      {1, 1, 4.8693398484274679},     // seed 19
+      {5, 9, -3.2070730681151987},    // seed 20
+      {5, 11, 8.301263774849879},     // seed 21
+      {1, 3, 9.9041758816640986},     // seed 22
+      {1, 3, 9.9753620538269878},     // seed 23
+      {1, 4, 9.4420976739058169},     // seed 24
       {0, 0, 0},                      // seed 25
-      {1, 3, 1.32441319647819},       // seed 26
-      {6, 30, 5.774904796384785},     // seed 27
+      {1, 2, 1.32441319647819},       // seed 26
+      {5, 13, 5.774904796384785},     // seed 27
       {0, 0, 0},                      // seed 28
-      {1, 2, 3.1172362338040305},     // seed 29
+      {1, 1, 3.1172362338040305},     // seed 29
   };
   const PinnedSolve without_presolve[30] = {
-      {1, 6, 10.66388291367535},      // seed 0
-      {4, 18, 12.987321063146542},    // seed 1
-      {1, 3, 9.6186953718645558},     // seed 2
-      {1, 3, 7.7632126661666607},     // seed 3
-      {1, 1, 0},                      // seed 4
-      {1, 1, 0},                      // seed 5
-      {1, 5, 12.340967553656185},     // seed 6
-      {4, 15, 14.754951126817677},    // seed 7
-      {1, 8, 13.588098839466316},     // seed 8
-      {2, 2, 0},                      // seed 9
-      {4, 16, 7.7032812782295563},    // seed 10
-      {4, 13, 4.4993250920656749},    // seed 11
-      {6, 18, -0.11844202750921218},  // seed 12
-      {1, 2, 0},                      // seed 13
-      {8, 28, 0.55933102635924303},   // seed 14
-      {1, 2, 1.8338097071211108},     // seed 15
-      {1, 1, 0},                      // seed 16
-      {1, 4, 19.600027266855559},     // seed 17
-      {1, 2, 0},                      // seed 18
-      {1, 2, 4.8693398484274679},     // seed 19
-      {6, 21, -3.2070730681151987},   // seed 20
-      {6, 26, 8.301263774849879},     // seed 21
-      {2, 4, 9.9041758816640986},     // seed 22
-      {2, 5, 9.9753620538269878},     // seed 23
-      {6, 22, 9.4420976739058169},    // seed 24
-      {1, 2, 0},                      // seed 25
-      {1, 3, 1.32441319647819},       // seed 26
-      {6, 30, 5.774904796384785},     // seed 27
-      {1, 3, 0},                      // seed 28
-      {1, 2, 3.1172362338040305},     // seed 29
+      {1, 5, 10.66388291367535},      // seed 0
+      {3, 9, 12.987321063146542},     // seed 1
+      {1, 2, 9.6186953718645558},     // seed 2
+      {1, 2, 7.7632126661666607},     // seed 3
+      {1, 0, 0},                      // seed 4
+      {1, 0, 0},                      // seed 5
+      {1, 4, 12.340967553656185},     // seed 6
+      {3, 7, 14.754951126817677},     // seed 7
+      {1, 7, 13.588098839466316},     // seed 8
+      {2, 0, 0},                      // seed 9
+      {3, 8, 7.7032812782295563},     // seed 10
+      {3, 6, 4.4993250920656749},     // seed 11
+      {5, 6, -0.11844202750921218},   // seed 12
+      {1, 1, 0},                      // seed 13
+      {7, 10, 0.55933102635924303},   // seed 14
+      {1, 1, 1.8338097071211108},     // seed 15
+      {1, 0, 0},                      // seed 16
+      {1, 3, 19.600027266855559},     // seed 17
+      {1, 1, 0},                      // seed 18
+      {1, 1, 4.8693398484274679},     // seed 19
+      {5, 9, -3.2070730681151987},    // seed 20
+      {5, 11, 8.301263774849879},     // seed 21
+      {2, 2, 9.9041758816640986},     // seed 22
+      {2, 3, 9.9753620538269878},     // seed 23
+      {5, 10, 9.4420976739058169},    // seed 24
+      {1, 1, 0},                      // seed 25
+      {1, 2, 1.32441319647819},       // seed 26
+      {5, 13, 5.774904796384785},     // seed 27
+      {1, 2, 0},                      // seed 28
+      {1, 1, 3.1172362338040305},     // seed 29
   };
   for (int seed = 0; seed < 30; ++seed) {
     MilpModel model = RandomPresolveModel(4242 + seed);
@@ -728,10 +754,10 @@ TEST(PinnedTrajectoryTest, SixBlockModel) {
   MilpModel model = BlockPackingModel(6, 14, 7, 42);
   MilpOptions options;
   options.time_limit_seconds = 60.0;
-  ExpectPinned(model, options, {189, 1521, 85.535515432745868}, "decomposed");
+  ExpectPinned(model, options, {183, 1121, 85.535515432745868}, "decomposed");
   options.enable_decomposition = false;
   options.max_nodes = 2000;
-  ExpectPinned(model, options, {2000, 29020, 0}, "monolithic");
+  ExpectPinned(model, options, {2000, 26392, 0}, "monolithic");
 }
 
 TEST(MilpModelTest, FeasibilityChecker) {
