@@ -69,6 +69,23 @@ TEST(DecomposeDetectTest, FreeVariablesJoinNoComponent) {
   EXPECT_FALSE(decomp.Splits());  // one row-induced component: bypass
 }
 
+TEST(DecomposeMergeTest, MilpStatusWorstClaimWins) {
+  using S = SolveStatus;
+  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kOptimal), S::kOptimal);
+  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kGapMet), S::kGapMet);
+  EXPECT_EQ(MergeSolveStatus(S::kGapMet, S::kTimeLimit), S::kTimeLimit);
+  EXPECT_EQ(MergeSolveStatus(S::kTimeLimit, S::kStall), S::kStall);
+  // A proof about one component holds for the whole model and dominates,
+  // infeasibility first, in either order.
+  EXPECT_EQ(MergeSolveStatus(S::kNoIncumbent, S::kUnbounded), S::kUnbounded);
+  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kInfeasible), S::kInfeasible);
+  EXPECT_EQ(MergeSolveStatus(S::kInfeasible, S::kUnbounded), S::kInfeasible);
+  EXPECT_EQ(MergeSolveStatus(S::kUnbounded, S::kInfeasible), S::kInfeasible);
+  // Order independence.
+  EXPECT_EQ(MergeSolveStatus(S::kGapMet, S::kOptimal), S::kGapMet);
+  EXPECT_EQ(MergeSolveStatus(S::kInfeasible, S::kOptimal), S::kInfeasible);
+}
+
 TEST(DecomposeMergeTest, NoIncumbentComponentDegradesOnlyItself) {
   using S = SolveStatus;
   // A failed component among successful ones -> partial plan (kTimeLimit),
@@ -84,13 +101,6 @@ TEST(DecomposeMergeTest, NoIncumbentComponentDegradesOnlyItself) {
   EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kOptimal), S::kOptimal);
   EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kGapMet), S::kGapMet);
   EXPECT_EQ(MergeSolveStatus(S::kGapMet, S::kTimeLimit), S::kTimeLimit);
-  // A proof about one component holds for the whole model and dominates,
-  // infeasibility first, in either order.
-  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kInfeasible), S::kInfeasible);
-  EXPECT_EQ(MergeSolveStatus(S::kInfeasible, S::kOptimal), S::kInfeasible);
-  EXPECT_EQ(MergeSolveStatus(S::kNoIncumbent, S::kUnbounded), S::kUnbounded);
-  EXPECT_EQ(MergeSolveStatus(S::kInfeasible, S::kUnbounded), S::kInfeasible);
-  EXPECT_EQ(MergeSolveStatus(S::kUnbounded, S::kInfeasible), S::kInfeasible);
 }
 
 TEST(SolverDecomposeTest, BlockDiagonalParityExactGap) {
